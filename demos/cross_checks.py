@@ -41,7 +41,8 @@ print(f"\nexhaustive search (201-point grid): {np.round(best.positions, 4)}, pow
 print(f"alternating optimizer:              {np.round(np.sort(sol.positions.ravel()), 4)}, power {sol.report.total:.8f}")
 
 print("\ndiscrete spread vs asymptotic dilation (uniform terminals, theta = 1):")
-rows = consistency_report(d, params, [1, 2, 3], candidates)
+searches = [brute_force_optimize(d, K, params, candidates) for K in (1, 2, 3)]
+rows = consistency_report(d, searches)
 print(f"  {'K':>2} {'discrete':>9} {'asymptotic':>10} {'ratio':>7} {'dilation':>8}")
 for r in rows:
     print(

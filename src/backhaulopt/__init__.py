@@ -61,12 +61,6 @@ from .power_model import (
     RadioParams,
     SingularGainError,
     TrafficVector,
-    cell_intra_power,
-    cell_traffic,
-    cells_in_region,
-    channel_gain,
-    inter_power,
-    intra_power_at,
     station_traffic,
     total_power,
 )
@@ -93,19 +87,13 @@ __all__ = [
     "SingularGainError",
     "TrafficVector",
     "brute_force_optimize",
-    "cell_intra_power",
-    "cell_traffic",
-    "cells_in_region",
-    "channel_gain",
     "consistency_report",
     "dilation_factor",
     "expected_terminals",
     "fixed_point_step",
     "fold_demand",
     "initial_positions",
-    "inter_power",
     "interaction_gradient",
-    "intra_power_at",
     "iterate_fixed_point",
     "midpoint_total_power",
     "naive_total_power",

@@ -232,25 +232,21 @@ class ConsistencyReport:
 
 
 def consistency_report(
-    d: DensityField, params: RadioParams, Ks, candidates
+    d: DensityField, searches: list[BruteForceResult]
 ) -> list[ConsistencyReport]:
-    """Probe whether optimal discrete placements spread like the asymptotic law.
+    """Set the spread of brute-forced placements against the asymptotic law.
 
-    For each station count, brute-force the placement, measure the
-    traffic-weighted spread of the optimal positions, and set it against
+    For each search result (K is its number of stations), measure the
+    traffic-weighted spread of the optimal positions and set it against
     the spread of the asymptotic station density. The terminal density
     must be centered (the closed form requires it).
     """
-    Ks = [int(k) for k in Ks]
-    if len(Ks) > MAX_STATIONS:
-        raise ValueError(f"at most {MAX_STATIONS} station counts per report")
     theta = d.throughput
     f_spread = d.spread()
     cont = optimal_station_density(d, theta).spread()
     lam = dilation_factor(theta)
     rows = []
-    for K in Ks:
-        res = brute_force_optimize(d, K, params, candidates)
+    for res in searches:
         total = res.traffic.sum()
         mean = float(res.traffic @ res.positions) / total
         var = float(res.traffic @ (res.positions - mean) ** 2) / total
@@ -258,7 +254,7 @@ def consistency_report(
         ratio = disc / f_spread if f_spread > 0 else math.nan
         rows.append(
             ConsistencyReport(
-                K=K,
+                K=len(res.positions),
                 theta=theta,
                 discrete_spread=disc,
                 continuum_spread=cont,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .brute_force import brute_force_optimize, consistency_report
+from .brute_force import MAX_STATIONS, brute_force_optimize, consistency_report
 from .continuum import Measure1D, iterate_fixed_point, optimal_station_density
 from .density import DemandField, DensityField, Domain, FunctionSpec, fold_demand
 from .discrete_placement import OptimizerConfig, optimize
@@ -50,6 +50,18 @@ def _require(obj, key, context):
     if key not in obj:
         raise ScenarioError(f"missing {key!r} in {context}")
     return obj[key]
+
+
+def _number(obj, key, kind=float):
+    """A required finite number from the scenario, converted by `kind`."""
+    value = _require(obj, key, "scenario")
+    try:
+        value = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{key!r} must be a number: {exc}") from exc
+    if not math.isfinite(value):
+        raise ScenarioError(f"{key!r} must be finite")
+    return value
 
 
 def _parse_spec(obj, context) -> FunctionSpec:
@@ -92,7 +104,7 @@ def _build_field(scenario, grid) -> DensityField:
         raise ScenarioError("scenario needs exactly one of 'density' or 'demand'")
     try:
         if has_density:
-            theta = float(_require(scenario, "theta", "scenario"))
+            theta = _number(scenario, "theta")
             if not theta > 0:
                 raise ScenarioError("theta must be positive")
             block = scenario["density"]
@@ -123,13 +135,10 @@ def _build_field(scenario, grid) -> DensityField:
 def _parse_scenario(scenario, grid, seed):
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")
-    sigma2 = scenario.get("sigma2")
-    if sigma2 is None:
-        raise ScenarioError("missing 'sigma2'")
-    sigma2 = float(sigma2)
+    sigma2 = _number(scenario, "sigma2")
     if not sigma2 > 0:
         raise ScenarioError("sigma2 must be positive")
-    if "N" in scenario and int(scenario["N"]) < 0:
+    if "N" in scenario and _number(scenario, "N", int) < 0:
         raise ScenarioError("N must be nonnegative")
 
     mode = _require(scenario, "mode", "scenario")
@@ -246,14 +255,23 @@ def _run_compare(d, params, cfg_obj, outdir, quiet) -> int:
     Ks = _require(cfg_obj, "K", "mode.compare")
     if not isinstance(Ks, list) or not Ks:
         raise ScenarioError("mode.compare K must be a nonempty list")
-    cand_cfg = cfg_obj.get("candidates", 101)
-    if isinstance(cand_cfg, list):
-        candidates = np.asarray(cand_cfg, dtype=float)
-    else:
-        lo, hi = d.domain.bounds[0]
-        candidates = np.linspace(lo, hi, int(cand_cfg))
+    if len(Ks) > MAX_STATIONS:
+        raise ScenarioError(f"at most {MAX_STATIONS} station counts per report")
+    try:
+        Ks = [int(K) for K in Ks]
+        cand_cfg = cfg_obj.get("candidates", 101)
+        if isinstance(cand_cfg, list):
+            candidates = np.asarray(cand_cfg, dtype=float)
+        else:
+            lo, hi = d.domain.bounds[0]
+            candidates = np.linspace(lo, hi, int(cand_cfg))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad mode.compare: {exc}") from exc
 
-    rows = consistency_report(d, params, Ks, candidates)
+    # the closed form rejects an off-centre density; do so before the searches
+    optimal_station_density(d, params.throughput)
+    searches = [brute_force_optimize(d, K, params, candidates) for K in Ks]
+    rows = consistency_report(d, searches)
     _write_csv(
         outdir / "consistency.csv",
         "K,theta,discrete_spread,continuum_spread,ratio,f_spread,lambda",
@@ -262,13 +280,15 @@ def _run_compare(d, params, cfg_obj, outdir, quiet) -> int:
             for r in rows
         ),
     )
-    placement_rows = []
-    for K in Ks:
-        best = brute_force_optimize(d, int(K), params, candidates)
-        placement_rows.extend(
-            (int(K), i, best.positions[i], best.traffic[i]) for i in range(int(K))
-        )
-    _write_csv(outdir / "placement.csv", "K,index,x,m_i", placement_rows)
+    _write_csv(
+        outdir / "placement.csv",
+        "K,index,x,m_i",
+        (
+            (K, i, x, m_i)
+            for K, best in zip(Ks, searches)
+            for i, (x, m_i) in enumerate(zip(best.positions, best.traffic))
+        ),
+    )
     if not quiet:
         for r in rows:
             print(

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
+from scipy.integrate import simpson
 
-from .density import DensityField, Domain, FunctionSpec
+from .density import DensityField, Domain, FunctionSpec, _cdf_quantiles, _midpoint_levels
 from .power_model import RadioParams
 
 __all__ = [
@@ -194,9 +194,7 @@ class Measure1D:
         return Measure1D(self.grid, self.values / self.total_mass)
 
     def quantiles(self, levels) -> np.ndarray:
-        cdf = cumulative_trapezoid(self.values, self.grid, initial=0.0)
-        cdf /= cdf[-1]
-        return np.interp(np.asarray(levels, dtype=float), cdf, self.grid)
+        return _cdf_quantiles(self.grid, self.values, levels)
 
 
 def sup_distance(a: Measure1D, b: Measure1D) -> float:
@@ -346,5 +344,4 @@ def quantile_placements(nu: Measure1D, K: int) -> np.ndarray:
     """
     if K < 1:
         raise ValueError("station count must be at least 1")
-    levels = (2.0 * np.arange(1, K + 1) - 1.0) / (2.0 * K)
-    return nu.quantiles(levels)
+    return nu.quantiles(_midpoint_levels(K))

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import special
+from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "Domain",
@@ -245,6 +246,18 @@ def spec_values(spec: FunctionSpec, domain: Domain, points: np.ndarray) -> np.nd
     else:
         raise ValueError(f"unknown function kind {kind!r}")
     return out.reshape(out_shape)
+
+
+def _cdf_quantiles(grid: np.ndarray, values: np.ndarray, levels) -> np.ndarray:
+    """Points where the normalized trapezoid CDF of samples reaches each level."""
+    cdf = cumulative_trapezoid(values, grid, initial=0.0)
+    cdf /= cdf[-1]
+    return np.interp(np.asarray(levels, dtype=float), cdf, grid)
+
+
+def _midpoint_levels(n: int) -> np.ndarray:
+    """Levels (2i - 1) / (2n), i = 1..n: the centers of n equal-mass slices."""
+    return (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
 
 
 def _interp_grid(domain: Domain, values: np.ndarray, coords) -> np.ndarray:
@@ -589,12 +602,7 @@ class DensityField:
         """Quantile locations of a 1D density from its gridded CDF."""
         if self.domain.ndim != 1:
             raise ValueError("quantiles are defined for 1D densities")
-        from scipy.integrate import cumulative_trapezoid
-
-        grid = self.domain.axis(0)
-        cdf = cumulative_trapezoid(self.values, grid, initial=0.0)
-        cdf /= cdf[-1]
-        return np.interp(np.asarray(levels, dtype=float), cdf, grid)
+        return _cdf_quantiles(self.domain.axis(0), self.values, levels)
 
 
 @dataclass(frozen=True)

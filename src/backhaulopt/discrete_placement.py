@@ -14,18 +14,20 @@ makes the power trace monotone by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import trapezoid
 
-from .density import DensityField
+from .density import DensityField, _cdf_quantiles, _midpoint_levels
 from .power_model import (
     CellPartition,
     PowerReport,
     RadioParams,
     SingularGainError,
     TrafficVector,
+    _positions,
     station_traffic,
     total_power,
 )
@@ -89,19 +91,19 @@ class PlacementSolution:
 def voronoi_partition(positions, d: DensityField) -> CellPartition:
     """Assign every grid cell to its nearest station (by cell center).
 
-    Ties go to the lowest station index. Duplicate station positions are
-    rejected.
+    Ties go to the lowest station index. Duplicate station positions
+    raise SingularGainError.
     """
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim == 1:
-        pos = pos[:, None] if d.domain.ndim == 1 else pos[None, :]
+    pos = _positions(positions, d.domain.ndim)
     K = pos.shape[0]
     if K > 1:
         diff = pos[:, None, :] - pos[None, :, :]
         dist2 = np.sum(diff * diff, axis=-1)
         np.fill_diagonal(dist2, np.inf)
         if dist2.min() == 0.0:
-            raise ValueError("duplicate station positions")
+            raise SingularGainError(
+                "duplicate station positions; damping below 1 or jitter init avoids this"
+            )
     centers = d.domain.cell_centers()
     if d.domain.ndim == 1:
         centers = centers[:, None]
@@ -127,10 +129,7 @@ def update_positions(
     barycenter of the other stations. Stations whose cell carries no
     mass and no traffic are left in place.
     """
-    pos = np.asarray(positions, dtype=float)
-    ndim = d.domain.ndim
-    if pos.ndim == 1:
-        pos = pos[:, None] if ndim == 1 else pos[None, :]
+    pos = _positions(positions, d.domain.ndim)
     K = partition.stations
     assign = partition.assignment.ravel()
     mu = np.bincount(assign, weights=d.cell_masses().ravel(), minlength=K)
@@ -170,16 +169,13 @@ def initial_positions(
         raise ValueError("station count must be at least 1")
     ndim = d.domain.ndim
     if cfg.init == "explicit":
-        pos = np.asarray(cfg.positions, dtype=float)
-        if pos.ndim == 1:
-            pos = pos[:, None] if ndim == 1 else pos[None, :]
+        pos = _positions(cfg.positions, ndim)
         if pos.shape != (K, ndim):
             raise ValueError(f"explicit positions must have shape ({K}, {ndim})")
         return pos.copy()
 
     if ndim == 1:
-        levels = (2.0 * np.arange(1, K + 1) - 1.0) / (2.0 * K)
-        pos = d.quantiles(levels)[:, None]
+        pos = d.quantiles(_midpoint_levels(K))[:, None]
     else:
         pos = _product_quantiles(d, K)
 
@@ -198,21 +194,9 @@ def _product_quantiles(d: DensityField, K: int) -> np.ndarray:
     """Quantiles of the marginal CDFs arranged on a near-square product grid."""
     kx = max(int(round(math.sqrt(K))), 1)
     ky = math.ceil(K / kx)
-    values = d.values
     xg, yg = d.domain.axes
-    marg_x = np.trapezoid(values, yg, axis=1)
-    marg_y = np.trapezoid(values, xg, axis=0)
-
-    def quantiles(grid, dens, n):
-        cdf = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (dens[:-1] + dens[1:]) * np.diff(grid))]
-        )
-        cdf /= cdf[-1]
-        levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-        return np.interp(levels, cdf, grid)
-
-    qx = quantiles(xg, marg_x, kx)
-    qy = quantiles(yg, marg_y, ky)
+    qx = _cdf_quantiles(xg, trapezoid(d.values, yg, axis=1), _midpoint_levels(kx))
+    qy = _cdf_quantiles(yg, trapezoid(d.values, xg, axis=0), _midpoint_levels(ky))
     grid = [(x, y) for x in qx for y in qy]
     return np.asarray(grid[:K], dtype=float)
 
@@ -245,15 +229,6 @@ def optimize(
             pos, partition, traffic, d, params, cfg.damping, cfg.include_inter
         )
         move = float(np.max(np.linalg.norm(new_pos - pos, axis=1)))
-        if K > 1:
-            diff = new_pos[:, None, :] - new_pos[None, :, :]
-            d2 = np.sum(diff * diff, axis=-1)
-            np.fill_diagonal(d2, np.inf)
-            if d2.min() == 0.0:
-                raise SingularGainError(
-                    "stations collided; damping below 1 or jitter init avoids this"
-                )
-
         candidate = voronoi_partition(new_pos, d)
         cand_report = total_power(new_pos, candidate, d, params)
         keep_report = total_power(new_pos, partition, d, params)

@@ -23,14 +23,8 @@ __all__ = [
     "CellPartition",
     "TrafficVector",
     "PowerReport",
-    "channel_gain",
-    "intra_power_at",
-    "cell_intra_power",
-    "cell_traffic",
     "station_traffic",
-    "inter_power",
     "total_power",
-    "cells_in_region",
 ]
 
 
@@ -57,42 +51,14 @@ class RadioParams:
         return math.pow(2.0, self.throughput) - 1.0
 
 
-def _position(p, ndim: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if arr.shape != (ndim,):
-        raise ValueError(f"position must have {ndim} coordinate(s)")
-    return arr
-
-
 def _positions(p, ndim: int) -> np.ndarray:
+    """Station positions as a (K, ndim) array; a flat 1D input is K points."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None] if ndim == 1 else arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != ndim:
         raise ValueError(f"positions must be an array of {ndim}-coordinate points")
     return arr
-
-
-def channel_gain(a, b) -> float:
-    """Free-space channel gain 1/d^2 between two points."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    d2 = float(np.sum((a - b) ** 2))
-    if d2 == 0.0:
-        raise SingularGainError("coincident endpoints have unbounded gain")
-    return 1.0 / d2
-
-
-def intra_power_at(bs, p, params: RadioParams) -> float:
-    """Access-link power per unit terminal mass at location p.
-
-    Inverts the Shannon rate: the power that sustains the demanded
-    throughput over the gain 1/d^2 at noise level sigma^2.
-    """
-    bs = np.atleast_1d(np.asarray(bs, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    d2 = float(np.sum((bs - p) ** 2))
-    return params.noise_power * params.shannon_factor * d2
 
 
 @dataclass
@@ -118,49 +84,6 @@ class CellPartition:
     def single_cell(domain: Domain) -> "CellPartition":
         return CellPartition(domain, np.zeros(domain.cell_counts, dtype=int), 1)
 
-    def mask(self, station: int) -> np.ndarray:
-        """Boolean mask over grid cells owned by one station."""
-        return self.assignment == station
-
-
-def cells_in_region(domain: Domain, region) -> np.ndarray:
-    """Mask of grid cells whose centers lie in an interval or rectangle."""
-    centers = domain.cell_centers()
-    if domain.ndim == 1:
-        lo, hi = region
-        mask = (centers >= lo) & (centers <= hi)
-        return mask
-    (xlo, xhi), (ylo, yhi) = region
-    mask = (
-        (centers[:, 0] >= xlo)
-        & (centers[:, 0] <= xhi)
-        & (centers[:, 1] >= ylo)
-        & (centers[:, 1] <= yhi)
-    )
-    return mask.reshape(domain.cell_counts)
-
-
-def cell_intra_power(bs, cell: np.ndarray, d: DensityField, params: RadioParams) -> float:
-    """Access power integrated over one cell.
-
-    `cell` is a boolean mask over the grid cells of the density domain.
-    """
-    cell = np.asarray(cell, dtype=bool).reshape(d.domain.cell_counts)
-    p = _position(bs, d.domain.ndim)
-    # Expand (x - p)^2 per grid cell; cell-level terms are tiny, so the
-    # expansion loses no precision the way a station-level one would.
-    moments = d.cell_second_moments()[cell] - 2.0 * sum(
-        pk * m[cell] for pk, m in zip(p, d.cell_first_moments())
-    ) + float(p @ p) * d.cell_masses()[cell]
-    moment = float(np.maximum(moments, 0.0).sum())
-    return params.noise_power * params.shannon_factor * moment
-
-
-def cell_traffic(cell: np.ndarray, d: DensityField) -> float:
-    """Aggregate traffic of one cell: throughput times its terminal mass."""
-    cell = np.asarray(cell, dtype=bool).reshape(d.domain.cell_counts)
-    return d.throughput * float(d.cell_masses()[cell].sum())
-
 
 @dataclass(frozen=True)
 class TrafficVector:
@@ -181,20 +104,6 @@ def station_traffic(partition: CellPartition, d: DensityField) -> TrafficVector:
     return TrafficVector(per_station, float(per_station.sum()))
 
 
-def inter_power(m_i: float, m_j: float, m: float, d_ij: float, params: RadioParams) -> float:
-    """Backhaul-link power between two stations.
-
-    Uses the low-SNR linearization of the Shannon rate, under which the
-    required power is proportional to the traffic share m_i * m_j / m and
-    to the squared distance.
-    """
-    if not m > 0:
-        raise ValueError("total traffic must be positive")
-    if d_ij < 0:
-        raise ValueError("distance must be nonnegative")
-    return params.noise_power * d_ij * d_ij * m_i * m_j / m
-
-
 @dataclass
 class PowerReport:
     """Breakdown of the network transmission power for one configuration."""
@@ -211,10 +120,14 @@ def total_power(
 ) -> PowerReport:
     """Total network power: access links plus all ordered backhaul pairs.
 
-    The backhaul sum runs over ordered pairs, so each unordered pair of
-    stations contributes twice. Coincident stations that both carry
-    traffic raise SingularGainError; a station without traffic needs no
-    backhaul link, so duplicates involving one are tolerated.
+    A terminal at distance d from its station costs
+    sigma2 * (2^theta - 1) * d^2 per unit mass; stations i and j at
+    distance d cost sigma2 * d^2 * m_i * m_j / m per ordered pair, where
+    m_i is a station's traffic and m the network total. Each unordered
+    pair of stations therefore contributes twice. Coincident stations
+    that both carry traffic raise SingularGainError; a station without
+    traffic needs no backhaul link, so duplicates involving one are
+    tolerated.
     """
     pos = _positions(positions, d.domain.ndim)
     K = partition.stations
@@ -234,8 +147,8 @@ def total_power(
         assign, weights=np.maximum(cell_moments, 0.0), minlength=K
     )
 
-    traffic = d.throughput * np.bincount(assign, weights=s0, minlength=K)
-    m = float(traffic.sum())
+    tv = station_traffic(partition, d)
+    traffic, m = tv.per_station, tv.total
     if not m > 0:
         raise ValueError("total traffic must be positive")
 

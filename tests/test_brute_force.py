@@ -142,12 +142,16 @@ class TestBruteForce:
             brute_force_optimize(d, 1, PARAMS, np.linspace(0.1, 0.9, 5))
 
 
+def searches(d, params, Ks, candidates):
+    return [brute_force_optimize(d, K, params, candidates) for K in Ks]
+
+
 class TestConsistencyReport:
     def test_uniform_centered(self):
         d = DensityField.from_spec(
             FunctionSpec("uniform", {}), 1.0, Domain.interval(-1.0, 1.0, 2001)
         )
-        rows = consistency_report(d, PARAMS, [2, 3], np.linspace(-1.0, 1.0, 101))
+        rows = consistency_report(d, searches(d, PARAMS, [2, 3], np.linspace(-1.0, 1.0, 101)))
         assert [r.K for r in rows] == [2, 3]
         for r in rows:
             assert r.theta == 1.0
@@ -164,7 +168,7 @@ class TestConsistencyReport:
             Domain.interval(-1.0, 1.0, 2001),
         )
         rows = consistency_report(
-            d, RadioParams(1.0, 24.0), [1], np.linspace(-1.0, 1.0, 51)
+            d, searches(d, RadioParams(1.0, 24.0), [1], np.linspace(-1.0, 1.0, 51))
         )
         assert rows[0].continuum_spread / rows[0].f_spread == pytest.approx(1.0, abs=1e-6)
         assert rows[0].dilation - 1.0 == pytest.approx(2.384185933124172e-07, rel=1e-9)
@@ -173,16 +177,11 @@ class TestConsistencyReport:
         dom = Domain.interval(-1.0, 1.0, 401)
         x = dom.axis(0)
         d = DensityField.from_values(dom, np.exp(-(x**2) / (2.0 * 0.003**2)), 1.0)
-        rows = consistency_report(d, PARAMS, [1], np.linspace(-1.0, 1.0, 101))
+        rows = consistency_report(d, searches(d, PARAMS, [1], np.linspace(-1.0, 1.0, 101)))
         assert rows[0].discrete_spread <= 0.05
         assert rows[0].continuum_spread <= 0.05
-
-    def test_station_count_list_limited(self):
-        d = uniform_field(101)
-        with pytest.raises(ValueError):
-            consistency_report(d, PARAMS, [1, 2, 3, 3], np.linspace(0.1, 0.9, 21))
 
     def test_off_center_density_propagates_error(self):
         d = uniform_field(101)  # barycenter 0.5
         with pytest.raises(ValueError):
-            consistency_report(d, PARAMS, [1], np.linspace(0.1, 0.9, 21))
+            consistency_report(d, searches(d, PARAMS, [1], np.linspace(0.1, 0.9, 21)))

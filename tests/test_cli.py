@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
+from backhaulopt import cli
 from backhaulopt.cli import main
 
 SQRT_2PI = 2.5066282746310002
@@ -134,7 +136,7 @@ class TestContinuumModes:
         assert read_header(out / "bs_density.csv") == "y,v"
         assert data[0, 0] == pytest.approx(-5.0)
         assert data[-1, 0] == pytest.approx(5.0)
-        mass = np.trapezoid(data[:, 1], data[:, 0])
+        mass = trapezoid(data[:, 1], data[:, 0])
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_iteration_matches_closed_form(self, tmp_path):
@@ -245,6 +247,32 @@ class TestCompareMode:
         assert main(["run", self.scenario(tmp_path, out), "--quiet"]) == 0
         assert (out / "consistency.csv").exists()
 
+    def test_station_count_list_limited(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, {
+            "sigma2": 1.0,
+            "theta": 1.0,
+            "density": uniform_density(-1.0, 1.0),
+            "mode": {"compare": {"K": [1, 2, 3, 3], "candidates": 21}},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["compare", scenario]) == 3
+        assert "station counts" in capsys.readouterr().err
+
+    def test_off_center_density_rejected(self, tmp_path, capsys, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched before rejecting the density")
+
+        monkeypatch.setattr(cli, "brute_force_optimize", no_search)
+        scenario = write_scenario(tmp_path, {
+            "sigma2": 1.0,
+            "theta": 1.0,
+            "density": uniform_density(0.0, 1.0, 101),
+            "mode": {"compare": {"K": [1], "candidates": 21}},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["compare", scenario]) == 3
+        assert "re-center" in capsys.readouterr().err
+
     def test_compare_command_requires_compare_mode(self, tmp_path):
         scenario = write_scenario(tmp_path, {
             "sigma2": 1.0,
@@ -307,6 +335,16 @@ class TestValidation:
 
     def test_nonpositive_sigma2(self, tmp_path):
         assert main(["run", write_scenario(tmp_path, self.base(tmp_path, sigma2=0.0))]) == 3
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"sigma2": [1]}, {"N": None}, {"sigma2": "inf"}, {"theta": "inf"}],
+        ids=["sigma2-list", "N-null", "sigma2-inf", "theta-inf"],
+    )
+    def test_bad_numbers_rejected(self, tmp_path, capsys, overrides):
+        assert main(["run", write_scenario(tmp_path, self.base(tmp_path, **overrides))]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out" / "placement.csv").exists()
 
     def test_negative_terminal_count(self, tmp_path):
         assert main(["run", write_scenario(tmp_path, self.base(tmp_path, N=-5))]) == 3
@@ -371,7 +409,7 @@ class TestReproduceFigures:
         assert main(["reproduce-figures", "--out", str(out), "--grid", "801", "--quiet"]) == 0
         for name in ("fig1_theta1_v.csv", "fig2_theta2_v.csv"):
             data = load_csv(out / name, cols=2)
-            assert np.trapezoid(data[:, 1], data[:, 0]) == pytest.approx(1.0, abs=1e-6)
+            assert trapezoid(data[:, 1], data[:, 0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_high_throughput_tracks_terminals(self, tmp_path):
         out = tmp_path / "figures"

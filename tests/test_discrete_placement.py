@@ -126,6 +126,18 @@ class TestInitialPositions:
         assert pos.shape == (5, 2)
         assert d.domain.contains(pos).all()
 
+    def test_quantile_2d_without_numpy_trapezoid(self, monkeypatch):
+        # numpy < 2.0 has no np.trapezoid, and the declared floor is 1.24
+        monkeypatch.delattr(np, "trapezoid", raising=False)
+        d = DensityField.from_spec(
+            FunctionSpec("normal", {"mu": [0.5, 0.5], "sigma": [0.2, 0.3]}),
+            1.0,
+            Domain.rectangle((0.0, 1.0), (0.0, 1.0), (41, 41)),
+        )
+        pos = initial_positions(d, 4, OptimizerConfig())
+        assert pos.shape == (4, 2)
+        assert d.domain.contains(pos).all()
+
     def test_jitter_is_seeded(self):
         d = uniform_field()
         a = initial_positions(d, 3, OptimizerConfig(init="jitter", seed=11))

@@ -7,12 +7,6 @@ from backhaulopt.power_model import (
     CellPartition,
     RadioParams,
     SingularGainError,
-    cell_intra_power,
-    cell_traffic,
-    cells_in_region,
-    channel_gain,
-    inter_power,
-    intra_power_at,
     station_traffic,
     total_power,
 )
@@ -20,9 +14,9 @@ from backhaulopt.power_model import (
 NORMAL_MASS_1SIGMA = 0.6826894921370859
 
 
-def uniform_field(resolution=2001):
+def uniform_field(resolution=2001, throughput=1.0):
     return DensityField.from_spec(
-        FunctionSpec("uniform", {}), 1.0, Domain.interval(0.0, 1.0, resolution)
+        FunctionSpec("uniform", {}), throughput, Domain.interval(0.0, 1.0, resolution)
     )
 
 
@@ -30,39 +24,93 @@ def normal_field(throughput=1.0):
     return DensityField.from_spec(FunctionSpec("normal", {"mu": 0.0, "sigma": 1.0}), throughput)
 
 
+def split(d, cut):
+    """Two stations: cells whose center has x < cut, and the rest."""
+    x = d.domain.cell_centers()
+    if d.domain.ndim == 2:
+        x = x[:, 0]
+    return CellPartition(d.domain, np.where(x < cut, 0, 1), 2)
+
+
+def simpson_access(pos, partition, d, params):
+    """Access power per station, one Simpson panel per cell on raw distances."""
+    x = d.domain.axis(0)
+    mids = 0.5 * (x[:-1] + x[1:])
+    fm = d.eval(mids)
+    f = d.values
+    out = np.zeros(partition.stations)
+    for c, k in enumerate(partition.assignment.ravel()):
+        p = pos[k]
+        out[k] += (x[c + 1] - x[c]) / 6.0 * (
+            f[c] * (x[c] - p) ** 2
+            + 4.0 * fm[c] * (mids[c] - p) ** 2
+            + f[c + 1] * (x[c + 1] - p) ** 2
+        )
+    return params.noise_power * params.shannon_factor * out
+
+
 class TestGain:
+    # free-space gain 1/d^2: a backhaul link costs sigma2 * d^2 * m_i * m_j / m
     def test_inverse_square(self):
-        assert channel_gain(0.0, 1.0) == pytest.approx(1.0)
-        assert channel_gain(0.0, 0.5) == pytest.approx(4.0)
+        d = uniform_field()
+        partition = split(d, 0.5)
+        p = RadioParams(1.0, 1.0)
+        far = total_power(np.array([0.5, 1.5]), partition, d, p).inter_per_pair[0, 1]
+        near = total_power(np.array([0.5, 1.0]), partition, d, p).inter_per_pair[0, 1]
+        assert far == pytest.approx(0.25, abs=1e-12)
+        assert near == pytest.approx(0.0625, abs=1e-12)
+        assert far / near == pytest.approx(4.0, rel=1e-12)
 
     def test_2d_points(self):
-        assert channel_gain((0.0, 0.0), (3.0, 4.0)) == pytest.approx(1.0 / 25.0)
+        d = DensityField.from_spec(
+            FunctionSpec("uniform", {}), 1.0, Domain.rectangle((0.0, 1.0), (0.0, 1.0), (41, 41))
+        )
+        pos = np.array([[0.0, 0.0], [3.0, 4.0]])
+        report = total_power(pos, split(d, 0.5), d, RadioParams(1.0, 1.0))
+        assert report.inter_per_pair[0, 1] == pytest.approx(25.0 * 0.25, rel=1e-12)
 
     def test_zero_distance_raises(self):
         with pytest.raises(SingularGainError):
-            channel_gain(0.3, 0.3)
+            voronoi_partition(np.array([0.3, 0.3]), uniform_field(101))
 
     def test_subclasses_value_error(self):
         assert issubclass(SingularGainError, ValueError)
 
 
 class TestIntraAt:
+    # an access link costs sigma2 * (2^theta - 1) * d^2 per unit terminal mass;
+    # over uniform terminals on [0, 1] a station at 2 averages d^2 = 7/3
+    def access(self, params):
+        d = uniform_field()
+        report = total_power(np.array([2.0]), CellPartition.single_cell(d.domain), d, params)
+        return report.intra_total
+
     def test_unit_case(self):
-        p = RadioParams(noise_power=1.0, throughput=1.0)
-        assert intra_power_at(0.0, 2.0, p) == pytest.approx(4.0)
+        assert self.access(RadioParams(noise_power=1.0, throughput=1.0)) == pytest.approx(
+            7.0 / 3.0, rel=1e-12
+        )
 
     def test_vanishes_with_throughput(self):
-        p = RadioParams(noise_power=1.0, throughput=1e-9)
-        assert intra_power_at(0.0, 2.0, p) < 1e-8
+        assert self.access(RadioParams(noise_power=1.0, throughput=1e-9)) < 1e-8
 
     def test_shannon_factor(self):
         # 2^theta - 1 scaling: theta=2 gives factor 3
-        p = RadioParams(noise_power=0.5, throughput=2.0)
-        assert intra_power_at(0.0, 2.0, p) == pytest.approx(6.0)
+        assert self.access(RadioParams(noise_power=0.5, throughput=2.0)) == pytest.approx(
+            0.5 * 3.0 * 7.0 / 3.0, rel=1e-12
+        )
 
     def test_zero_distance_allowed(self):
-        p = RadioParams(1.0, 1.0)
-        assert intra_power_at(0.5, 0.5, p) == 0.0
+        # terminals at the station itself cost nothing and raise nothing:
+        # a station on the peak of a symmetric triangle pays its variance 1/24
+        d = DensityField.from_spec(
+            FunctionSpec("triangular", {"a": 0.0, "c": 0.5, "b": 1.0}),
+            1.0,
+            Domain.interval(0.0, 1.0, 2001),
+        )
+        report = total_power(
+            np.array([0.5]), CellPartition.single_cell(d.domain), d, RadioParams(1.0, 1.0)
+        )
+        assert report.intra_total == pytest.approx(1.0 / 24.0, abs=1e-12)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -74,9 +122,10 @@ class TestIntraAt:
 class TestCellQuantities:
     def test_full_domain_uniform_second_moment(self):
         d = uniform_field()
-        mask = CellPartition.single_cell(d.domain).mask(0)
-        got = cell_intra_power(0.5, mask, d, RadioParams(1.0, 1.0))
-        assert got == pytest.approx(1.0 / 12.0, abs=1e-12)
+        report = total_power(
+            np.array([0.5]), CellPartition.single_cell(d.domain), d, RadioParams(1.0, 1.0)
+        )
+        assert report.intra_per_cell[0] == pytest.approx(1.0 / 12.0, abs=1e-12)
 
     def test_zero_density_cell(self):
         d = DensityField.from_spec(
@@ -84,34 +133,34 @@ class TestCellQuantities:
             1.0,
             Domain.interval(0.0, 1.0, 101),
         )
-        mask = cells_in_region(d.domain, (0.5, 1.0))
-        assert cell_intra_power(0.75, mask, d, RadioParams(1.0, 1.0)) == pytest.approx(
-            0.0, abs=1e-12
-        )
-        assert cell_traffic(mask, d) == pytest.approx(0.0, abs=1e-12)
+        partition = split(d, 0.5)
+        report = total_power(np.array([0.25, 0.75]), partition, d, RadioParams(1.0, 1.0))
+        assert report.intra_per_cell[1] == pytest.approx(0.0, abs=1e-12)
+        assert station_traffic(partition, d).per_station[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_centroid_minimizes_intra(self):
         d = normal_field()
-        mask = CellPartition.single_cell(d.domain).mask(0)
+        partition = CellPartition.single_cell(d.domain)
         p = RadioParams(1.0, 1.0)
-        base = cell_intra_power(d.centroid(), mask, d, p)
+        base = total_power(d.centroid(), partition, d, p).intra_total
         rng = np.random.default_rng(7)
         for x in rng.uniform(-4.0, 4.0, size=100):
-            assert cell_intra_power(x, mask, d, p) >= base - 1e-12
+            assert total_power(np.array([x]), partition, d, p).intra_total >= base - 1e-12
 
     def test_cell_traffic_scales_with_throughput(self):
-        mask = CellPartition.single_cell(uniform_field().domain).mask(0)
-        assert cell_traffic(mask, uniform_field()) == pytest.approx(1.0, abs=1e-12)
-        d5 = DensityField.from_spec(
-            FunctionSpec("uniform", {}), 5.0, Domain.interval(0.0, 1.0, 2001)
-        )
-        assert cell_traffic(mask, d5) == pytest.approx(5.0, abs=1e-12)
+        d1 = uniform_field()
+        d5 = uniform_field(throughput=5.0)
+        partition = CellPartition.single_cell(d1.domain)
+        assert station_traffic(partition, d1).per_station[0] == pytest.approx(1.0, abs=1e-12)
+        assert station_traffic(partition, d5).per_station[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_cell_traffic_normal_one_sigma(self):
         d = normal_field()
         assert -1.0 in d.domain.axis(0) and 1.0 in d.domain.axis(0)
-        mask = cells_in_region(d.domain, (-1.0, 1.0))
-        assert cell_traffic(mask, d) == pytest.approx(NORMAL_MASS_1SIGMA, abs=1e-9)
+        inside = np.abs(d.domain.cell_centers()) < 1.0
+        partition = CellPartition(d.domain, np.where(inside, 0, 1), 2)
+        tv = station_traffic(partition, d)
+        assert tv.per_station[0] == pytest.approx(NORMAL_MASS_1SIGMA, abs=1e-9)
 
     def test_station_traffic_partitions_throughput(self):
         d = normal_field(throughput=3.0)
@@ -125,32 +174,39 @@ class TestCellQuantities:
 
 class TestInterPower:
     def test_two_station_example(self):
-        p = RadioParams(1.0, 1.0)
-        assert inter_power(0.5, 0.5, 1.0, 0.5, p) == pytest.approx(0.0625, abs=1e-15)
+        d = uniform_field()
+        report = total_power(np.array([0.25, 0.75]), split(d, 0.5), d, RadioParams(1.0, 1.0))
+        assert report.inter_per_pair[0, 1] == pytest.approx(0.0625, abs=1e-12)
 
     def test_zero_traffic_costs_nothing(self):
-        p = RadioParams(1.0, 1.0)
-        assert inter_power(0.0, 0.7, 1.0, 0.5, p) == 0.0
+        d = uniform_field()
+        partition = CellPartition(d.domain, np.zeros(d.domain.cell_counts, dtype=int), 2)
+        report = total_power(np.array([0.5, 0.9]), partition, d, RadioParams(1.0, 1.0))
+        assert np.all(report.inter_per_pair == 0.0)
+        assert report.inter_total == 0.0
 
     def test_symmetric_in_endpoints(self):
+        d = uniform_field(throughput=1.5)
+        partition = split(d, 0.3)
         p = RadioParams(2.0, 1.5)
-        assert inter_power(0.4, 0.9, 1.5, 0.3, p) == pytest.approx(
-            inter_power(0.9, 0.4, 1.5, 0.3, p), rel=1e-15
+        report = total_power(np.array([0.15, 0.65]), partition, d, p)
+        tv = station_traffic(partition, d)
+        m0, m1 = tv.per_station
+        assert report.inter_per_pair[0, 1] == pytest.approx(
+            report.inter_per_pair[1, 0], rel=1e-15
+        )
+        assert report.inter_per_pair[0, 1] == pytest.approx(
+            2.0 * 0.5**2 * m0 * m1 / tv.total, rel=1e-12
         )
 
     def test_independent_of_throughput_factor(self):
         # backhaul uses the linearized rate, so no 2^theta - 1 term
-        a = inter_power(0.5, 0.5, 1.0, 0.5, RadioParams(1.0, 1.0))
-        b = inter_power(0.5, 0.5, 1.0, 0.5, RadioParams(1.0, 8.0))
-        assert a == b
-
-    def test_zero_total_mass_rejected(self):
-        with pytest.raises(ValueError):
-            inter_power(0.0, 0.0, 0.0, 0.5, RadioParams(1.0, 1.0))
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            inter_power(0.5, 0.5, 1.0, -0.1, RadioParams(1.0, 1.0))
+        d = uniform_field()
+        pos = np.array([0.25, 0.75])
+        a = total_power(pos, split(d, 0.5), d, RadioParams(1.0, 1.0))
+        b = total_power(pos, split(d, 0.5), d, RadioParams(1.0, 8.0))
+        assert a.inter_total == b.inter_total
+        assert b.intra_total == pytest.approx(255.0 * a.intra_total, rel=1e-12)
 
 
 class TestTotalPower:
@@ -178,9 +234,8 @@ class TestTotalPower:
         partition = voronoi_partition(pos, d)
         p = RadioParams(1.0, 1.0)
         report = total_power(pos, partition, d, p)
-        for i in range(3):
-            direct = cell_intra_power(pos[i], partition.mask(i), d, p)
-            assert report.intra_per_cell[i] == pytest.approx(direct, rel=1e-12)
+        direct = simpson_access(pos, partition, d, p)
+        np.testing.assert_allclose(report.intra_per_cell, direct, rtol=1e-12)
         assert report.intra_per_cell.sum() == pytest.approx(report.intra_total, rel=1e-12)
 
     def test_noise_power_scales_everything(self):
@@ -249,8 +304,3 @@ class TestTotalPower:
         dom = Domain.interval(0.0, 1.0, 11)
         with pytest.raises(ValueError):
             CellPartition(dom, np.full(dom.cell_counts, 3, dtype=int), 2)
-
-    def test_cells_in_region_counts(self):
-        dom = Domain.interval(0.0, 1.0, 101)
-        mask = cells_in_region(dom, (0.0, 0.25))
-        assert mask.sum() == 25

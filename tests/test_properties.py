@@ -1,0 +1,61 @@
+"""Property tests of the power objective and the assignment on random small instances."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from backhaulopt.brute_force import naive_total_power
+from backhaulopt.density import DensityField, Domain
+from backhaulopt.discrete_placement import voronoi_partition
+from backhaulopt.power_model import RadioParams, SingularGainError, total_power
+
+SETTINGS = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def instances(draw):
+    """A random gridded density (1D or 2D, at most 41 nodes per axis),
+    radio parameters, and 1 to 6 distinct station positions inside it."""
+    ndim = draw(st.sampled_from([1, 2]))
+    resolution = tuple(draw(st.integers(2, 41)) for _ in range(ndim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bounds = tuple((lo, lo + w) for lo, w in rng.uniform([-2.0, 0.5], [2.0, 3.0], (ndim, 2)))
+    domain = Domain(bounds, resolution)
+    d = DensityField.from_values(
+        domain, rng.uniform(0.05, 1.0, resolution), float(rng.uniform(0.5, 3.0))
+    )
+    params = RadioParams(float(rng.uniform(0.5, 2.0)), d.throughput)
+    K = draw(st.integers(1, 6))
+    lo, hi = np.array(bounds).T
+    pos = rng.uniform(lo, hi, (K, ndim))
+    return d, params, pos, rng
+
+
+@SETTINGS
+@given(instances())
+def test_total_power_matches_naive_loops(instance):
+    d, params, pos, _ = instance
+    partition = voronoi_partition(pos, d)
+    fast = total_power(pos, partition, d, params).total
+    slow = naive_total_power(pos, partition.assignment.ravel(), d, params)
+    assert fast == pytest.approx(slow, rel=1e-9)
+
+
+@SETTINGS
+@given(instances())
+def test_total_power_is_permutation_invariant(instance):
+    d, params, pos, rng = instance
+    perm = rng.permutation(len(pos))
+    a = total_power(pos, voronoi_partition(pos, d), d, params).total
+    b = total_power(pos[perm], voronoi_partition(pos[perm], d), d, params).total
+    assert b == pytest.approx(a, rel=1e-12)
+
+
+@SETTINGS
+@given(instances())
+def test_coincident_positions_are_rejected(instance):
+    d, _, pos, rng = instance
+    dup = np.insert(pos, rng.integers(0, len(pos) + 1), pos[rng.integers(0, len(pos))], axis=0)
+    with pytest.raises(SingularGainError):
+        voronoi_partition(dup, d)
