@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +54,11 @@ def _require(obj, key, context):
     return obj[key]
 
 
-def _number(obj, key, kind=float):
-    """A required finite number from the scenario, converted by `kind`."""
-    value = _require(obj, key, "scenario")
+def _number(obj, key, kind=float, default=None):
+    """A finite number from the scenario, converted by `kind`; required
+    unless a default is given. Counts use `operator.index`, which rejects
+    floats such as 2.5 or 1e308 instead of truncating them."""
+    value = _require(obj, key, "scenario") if default is None else obj.get(key, default)
     try:
         value = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -62,6 +66,13 @@ def _number(obj, key, kind=float):
     if not math.isfinite(value):
         raise ScenarioError(f"{key!r} must be finite")
     return value
+
+
+def _finite_array(obj, key) -> np.ndarray:
+    values = np.asarray(obj[key], dtype=float)
+    if not np.isfinite(values).all():
+        raise ScenarioError(f"{key!r} must be finite")
+    return values
 
 
 def _parse_spec(obj, context) -> FunctionSpec:
@@ -77,24 +88,19 @@ def _parse_spec(obj, context) -> FunctionSpec:
 def _parse_domain(obj, context, grid=None) -> Domain:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{context} must be an object")
-    try:
-        if "bounds" in obj:
-            bounds = [tuple(map(float, b)) for b in obj["bounds"]]
-            res = obj.get("resolution", 201)
-            res = tuple(int(r) for r in (res if isinstance(res, list) else [res] * len(bounds)))
-            if grid is not None:
-                res = tuple(int(grid) for _ in res)
-            if len(bounds) == 1:
-                return Domain.interval(*bounds[0], resolution=res[0])
-            return Domain.rectangle(bounds[0], bounds[1], resolution=res)
-        lo = float(_require(obj, "min", context))
-        hi = float(_require(obj, "max", context))
-        res = int(grid if grid is not None else obj.get("resolution", 2001))
-        return Domain.interval(lo, hi, resolution=res)
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad {context}: {exc}") from exc
+    if "bounds" in obj:
+        bounds = [tuple(map(float, b)) for b in obj["bounds"]]
+        res = obj.get("resolution", 201)
+        res = tuple(int(r) for r in (res if isinstance(res, list) else [res] * len(bounds)))
+        if grid is not None:
+            res = tuple(int(grid) for _ in res)
+        if len(bounds) == 1:
+            return Domain.interval(*bounds[0], resolution=res[0])
+        return Domain.rectangle(bounds[0], bounds[1], resolution=res)
+    lo = float(_require(obj, "min", context))
+    hi = float(_require(obj, "max", context))
+    res = int(grid if grid is not None else obj.get("resolution", 2001))
+    return Domain.interval(lo, hi, resolution=res)
 
 
 def _build_field(scenario, grid) -> DensityField:
@@ -102,34 +108,29 @@ def _build_field(scenario, grid) -> DensityField:
     has_demand = "demand" in scenario
     if has_density == has_demand:
         raise ScenarioError("scenario needs exactly one of 'density' or 'demand'")
-    try:
-        if has_density:
-            theta = _number(scenario, "theta")
-            if not theta > 0:
-                raise ScenarioError("theta must be positive")
-            block = scenario["density"]
-            spec = _parse_spec(block, "density")
-            domain = _parse_domain(_require(block, "domain", "density"), "density.domain", grid)
-            return DensityField.from_spec(spec, theta, domain)
-        if "theta" in scenario:
-            raise ScenarioError("'theta' is folded from 'demand'; specify only one")
-        block = scenario["demand"]
-        density_block = _require(block, "terminal_density", "demand")
-        domain = _parse_domain(
-            _require(density_block, "domain", "terminal_density"),
-            "terminal_density.domain",
-            grid,
-        )
-        demand = DemandField(
-            domain,
-            _parse_spec(density_block, "terminal_density"),
-            _parse_spec(_require(block, "throughput_demand", "demand"), "throughput_demand"),
-        )
-        return fold_demand(demand)
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc)) from exc
+    if has_density:
+        theta = _number(scenario, "theta")
+        if not theta > 0:
+            raise ScenarioError("theta must be positive")
+        block = scenario["density"]
+        spec = _parse_spec(block, "density")
+        domain = _parse_domain(_require(block, "domain", "density"), "density.domain", grid)
+        return DensityField.from_spec(spec, theta, domain)
+    if "theta" in scenario:
+        raise ScenarioError("'theta' is folded from 'demand'; specify only one")
+    block = scenario["demand"]
+    density_block = _require(block, "terminal_density", "demand")
+    domain = _parse_domain(
+        _require(density_block, "domain", "terminal_density"),
+        "terminal_density.domain",
+        grid,
+    )
+    demand = DemandField(
+        domain,
+        _parse_spec(density_block, "terminal_density"),
+        _parse_spec(_require(block, "throughput_demand", "demand"), "throughput_demand"),
+    )
+    return fold_demand(demand)
 
 
 def _parse_scenario(scenario, grid, seed):
@@ -156,21 +157,17 @@ def _parse_scenario(scenario, grid, seed):
 
 
 def _run_discrete(d, params, cfg_obj, outdir, quiet) -> int:
-    try:
-        K = int(_require(cfg_obj, "K", "mode.discrete"))
-        allowed = {
-            "max_iterations", "position_tolerance", "init",
-            "positions", "seed", "damping", "include_inter",
-        }
-        extra = set(cfg_obj) - allowed - {"K"}
-        if extra:
-            raise ScenarioError(f"unknown discrete options: {sorted(extra)}")
-        kwargs = {k: v for k, v in cfg_obj.items() if k in allowed}
-        if "positions" in kwargs and kwargs["positions"] is not None:
-            kwargs["positions"] = np.asarray(kwargs["positions"], dtype=float)
-        cfg = OptimizerConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc)) from exc
+    K = _number(cfg_obj, "K", operator.index)
+    options = {f.name: f.default for f in fields(OptimizerConfig)}
+    extra = set(cfg_obj) - set(options) - {"K"}
+    if extra:
+        raise ScenarioError(f"unknown discrete options: {sorted(extra)}")
+    kwargs = dict(options, **{k: v for k, v in cfg_obj.items() if k != "K"})
+    kwargs["max_iterations"] = _number(kwargs, "max_iterations", operator.index)
+    kwargs["position_tolerance"] = _number(kwargs, "position_tolerance")
+    if kwargs["positions"] is not None:
+        kwargs["positions"] = _finite_array(kwargs, "positions")
+    cfg = OptimizerConfig(**kwargs)
 
     solution = optimize(d, K, params, cfg)
 
@@ -215,8 +212,8 @@ def _station_measure_csv(path: Path, nu: Measure1D) -> None:
 
 
 def _run_continuum(d, params, cfg_obj, outdir, quiet) -> int:
-    tolerance = float(cfg_obj.get("tolerance", 1e-8))
-    max_steps = int(cfg_obj.get("max_steps", 50))
+    tolerance = _number(cfg_obj, "tolerance", default=1e-8)
+    max_steps = _number(cfg_obj, "max_steps", operator.index, default=50)
     if "nu0" in cfg_obj:
         block = cfg_obj["nu0"]
         spec = _parse_spec(block, "nu0")
@@ -224,10 +221,7 @@ def _run_continuum(d, params, cfg_obj, outdir, quiet) -> int:
         nu0 = Measure1D.from_spec(spec, params.throughput, domain)
     else:
         nu0 = Measure1D.from_density(d, params.throughput)
-    try:
-        result = iterate_fixed_point(d, nu0, params, tolerance=tolerance, max_steps=max_steps)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    result = iterate_fixed_point(d, nu0, params, tolerance=tolerance, max_steps=max_steps)
 
     _station_measure_csv(outdir / "bs_density.csv", result.measure)
     if not quiet:
@@ -257,16 +251,12 @@ def _run_compare(d, params, cfg_obj, outdir, quiet) -> int:
         raise ScenarioError("mode.compare K must be a nonempty list")
     if len(Ks) > MAX_STATIONS:
         raise ScenarioError(f"at most {MAX_STATIONS} station counts per report")
-    try:
-        Ks = [int(K) for K in Ks]
-        cand_cfg = cfg_obj.get("candidates", 101)
-        if isinstance(cand_cfg, list):
-            candidates = np.asarray(cand_cfg, dtype=float)
-        else:
-            lo, hi = d.domain.bounds[0]
-            candidates = np.linspace(lo, hi, int(cand_cfg))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad mode.compare: {exc}") from exc
+    Ks = [operator.index(K) for K in Ks]
+    if isinstance(cfg_obj.get("candidates"), list):
+        candidates = _finite_array(cfg_obj, "candidates")
+    else:
+        lo, hi = d.domain.bounds[0]
+        candidates = np.linspace(lo, hi, _number(cfg_obj, "candidates", operator.index, default=101))
 
     # the closed form rejects an off-centre density; do so before the searches
     optimal_station_density(d, params.throughput)
@@ -338,11 +328,6 @@ def _reproduce_figures(outdir: Path, grid, quiet) -> int:
     return 0
 
 
-def _load_json(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    return json.loads(text)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="backhaulopt",
@@ -369,28 +354,27 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "reproduce-figures":
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        return _reproduce_figures(outdir, args.grid, args.quiet)
+    if args.command != "reproduce-figures":
+        try:
+            scenario = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+            print(f"cannot read scenario: {exc}", file=sys.stderr)
+            return 2
 
+    # the one place where a bad scenario or command-line value becomes exit 3;
+    # OSError is an output directory that cannot be made or written
     try:
-        scenario = _load_json(args.scenario)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read scenario: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        if args.command == "reproduce-figures":
+            outdir = Path(args.out)
+            outdir.mkdir(parents=True, exist_ok=True)
+            return _reproduce_figures(outdir, args.grid, args.quiet)
         d, params, mode_name, mode_cfg = _parse_scenario(scenario, args.grid, args.seed)
         if args.command == "compare" and mode_name != "compare":
             raise ScenarioError("the compare command needs a scenario with a compare mode")
         outdir = Path(scenario.get("output_dir", "."))
         outdir.mkdir(parents=True, exist_ok=True)
         return _MODE_RUNNERS[mode_name](d, params, mode_cfg, outdir, args.quiet)
-    except ScenarioError as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (ValueError, TypeError, LookupError, ArithmeticError, OSError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 3
 

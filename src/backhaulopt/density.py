@@ -397,16 +397,16 @@ class DensityField:
         self.throughput = float(throughput)
         self.analytic = analytic
         self._scale = float(scale)
-        if self.throughput <= 0:
+        if not self.throughput > 0:
             raise ValueError("throughput must be positive")
         if stencil is None:
             stencil = _Stencil.from_node_values(domain, self.values)
         self._stencil = stencil
-        if stencil.minimum() < -1e-12:
+        if not stencil.minimum() >= -1e-12:
             raise ValueError("density values must be nonnegative")
         self._cell_mass = _cell_integrals(domain, stencil)
         mass = float(self._cell_mass.sum())
-        if abs(mass - 1.0) > 1e-9:
+        if not abs(mass - 1.0) <= 1e-9:
             raise ValueError(
                 f"density must integrate to 1, got {mass!r}; normalize first"
             )
@@ -435,37 +435,32 @@ class DensityField:
             return DensityField.from_values(
                 domain, np.asarray(spec.params["values"], dtype=float), throughput
             )
-        stencil = _Stencil.evaluate(spec, domain)
-        mass = float(_cell_integrals(domain, stencil).sum())
-        if mass <= 0:
-            raise ValueError("density mass must be positive")
-        scale = 1.0 / mass
-        return DensityField(
-            domain,
-            scale * stencil.arrays[0],
-            throughput,
-            analytic=spec,
-            scale=scale,
-            stencil=stencil.scaled(scale),
-        )
+        return DensityField._normalized(domain, _Stencil.evaluate(spec, domain), throughput, spec)
 
     @staticmethod
     def from_values(
         domain: Domain, values: np.ndarray, throughput: float = 1.0
     ) -> "DensityField":
         """Build a normalized field from raw node samples."""
-        stencil = _Stencil.from_node_values(domain, values)
-        if stencil.minimum() < -1e-12:
+        return DensityField._normalized(
+            domain, _Stencil.from_node_values(domain, values), throughput
+        )
+
+    @staticmethod
+    def _normalized(domain: Domain, stencil: _Stencil, throughput, analytic=None) -> "DensityField":
+        """The field of a stencil scaled to unit Simpson mass."""
+        if not stencil.minimum() >= -1e-12:
             raise ValueError("density values must be nonnegative")
         mass = float(_cell_integrals(domain, stencil).sum())
-        if mass <= 0:
-            raise ValueError("density mass must be positive")
+        if not 0 < mass < math.inf:
+            raise ValueError("density mass must be positive and finite")
         scale = 1.0 / mass
         return DensityField(
             domain,
             scale * stencil.arrays[0],
             throughput,
-            analytic=None,
+            analytic,
+            scale=scale,
             stencil=stencil.scaled(scale),
         )
 
@@ -642,12 +637,12 @@ def fold_demand(demand: DemandField) -> DensityField:
         demand.terminal_density, throughput=1.0, domain=demand.domain
     )
     t_stencil = _Stencil.evaluate(demand.throughput_demand, demand.domain)
-    if t_stencil.minimum() < -1e-12:
+    if not t_stencil.minimum() >= -1e-12:
         raise ValueError("throughput demand must be nonnegative")
     throughput = float(
         _cell_integrals(demand.domain, base._stencil.product(t_stencil)).sum()
     )
-    if throughput <= 0:
+    if not throughput > 0:
         raise ValueError("demand is identically zero; nothing to serve")
     if demand.throughput_demand.kind == "constant":
         return DensityField(

@@ -1,7 +1,11 @@
 import json
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from backhaulopt import cli
@@ -315,6 +319,62 @@ class TestDemandScenarios:
         assert main(["run", scenario]) == 3
 
 
+# Junk for the fuzz test. Numbers stay within +-100 (plus the non-finite
+# values) so that a drawn resolution or station count stays small.
+JUNK = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-100, 100)
+    | st.floats(-100.0, 100.0)
+    | st.sampled_from([math.inf, -math.inf, math.nan, "inf", "nan"])
+    | st.text("abxyz0", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("abxyz", max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+
+JUNK_MODES = {
+    "discrete": {"K": 2},
+    "continuum": {},
+    "closed_form": {},
+    "compare": {"K": [1, 2], "candidates": 11},
+}
+
+JUNK_KEYS = {
+    "scenario": ("sigma2", "theta", "N", "density", "mode", "output_dir"),
+    "density": ("kind", "params", "domain"),
+    "domain": ("min", "max", "resolution"),
+    "discrete": (
+        "K", "max_iterations", "position_tolerance", "init",
+        "positions", "seed", "damping", "include_inter",
+    ),
+    "continuum": ("tolerance", "max_steps", "nu0"),
+    "closed_form": ("K",),
+    "compare": ("K", "candidates"),
+}
+
+
+@st.composite
+def junk_scenarios(draw):
+    """A small valid scenario with one scenario, density, domain or mode key set to junk."""
+    mode = draw(st.sampled_from(sorted(JUNK_MODES)))
+    scenario = {
+        "sigma2": 1.0,
+        "theta": 1.0,
+        "density": centered_density(21),
+        "mode": {mode: dict(JUNK_MODES[mode])},
+    }
+    blocks = {
+        "scenario": scenario,
+        "density": scenario["density"],
+        "domain": scenario["density"]["domain"],
+        mode: scenario["mode"][mode],
+    }
+    block = draw(st.sampled_from(sorted(blocks)))
+    blocks[block][draw(st.sampled_from(JUNK_KEYS[block]))] = draw(JUNK)
+    return scenario
+
+
 class TestValidation:
     def base(self, tmp_path, **overrides):
         obj = {
@@ -338,13 +398,46 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"sigma2": [1]}, {"N": None}, {"sigma2": "inf"}, {"theta": "inf"}],
-        ids=["sigma2-list", "N-null", "sigma2-inf", "theta-inf"],
+        [
+            {"sigma2": [1]},
+            {"N": None},
+            {"sigma2": "inf"},
+            {"theta": "inf"},
+            {"density": centered_density(), "mode": {"continuum": {"tolerance": None}}},
+            {"density": centered_density(), "mode": {"continuum": {"max_steps": math.inf}}},
+            {"mode": {"discrete": {"K": 1, "max_iterations": 1e308}}},
+            {"density": uniform_density(resolution=math.inf)},
+            {"output_dir": None},
+            {"theta": 1e308},
+            {"density": centered_density(), "mode": {"compare": {"K": [1], "candidates": math.inf}}},
+            {"density": centered_density(), "mode": {"continuum": {"tolerance": math.inf}}},
+            {"mode": {"discrete": {"K": 1, "position_tolerance": math.inf}}},
+            {"mode": {"discrete": {"K": 2, "init": "explicit", "positions": [math.nan, 0.5]}}},
+        ],
+        ids=[
+            "sigma2-list", "N-null", "sigma2-inf", "theta-inf",
+            "tolerance-null", "max_steps-inf", "max_iterations-1e308", "resolution-inf",
+            "output_dir-null", "theta-1e308", "candidates-inf", "tolerance-inf",
+            "position_tolerance-inf", "positions-nan",
+        ],
     )
     def test_bad_numbers_rejected(self, tmp_path, capsys, overrides):
         assert main(["run", write_scenario(tmp_path, self.base(tmp_path, **overrides))]) == 3
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out" / "placement.csv").exists()
+        assert not (tmp_path / "out" / "bs_density.csv").exists()
+
+    @settings(max_examples=150)
+    @given(scenario=junk_scenarios())
+    def test_junk_values_keep_the_exit_contract(self, tmp_path_factory, scenario):
+        workdir = tmp_path_factory.mktemp("junk")
+        path = write_scenario(workdir, scenario)
+        cwd = os.getcwd()
+        os.chdir(workdir)  # a junk output_dir is a relative path
+        try:
+            assert main(["run", path, "--quiet"]) in {0, 2, 3, 4}
+        finally:
+            os.chdir(cwd)
 
     def test_negative_terminal_count(self, tmp_path):
         assert main(["run", write_scenario(tmp_path, self.base(tmp_path, N=-5))]) == 3
@@ -370,8 +463,9 @@ class TestValidation:
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        assert main(["run", str(path)]) == 2
+        for content in (b"{not json", b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000):
+            path.write_bytes(content)
+            assert main(["run", str(path)]) == 2
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -410,6 +504,16 @@ class TestReproduceFigures:
         for name in ("fig1_theta1_v.csv", "fig2_theta2_v.csv"):
             data = load_csv(out / name, cols=2)
             assert trapezoid(data[:, 1], data[:, 0]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_bad_arguments_rejected(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = str(tmp_path / "figures")
+        for extra in (["--grid", "1"], ["--grid", "2"], ["--out", str(blocker / "figures")]):
+            assert main(["reproduce-figures", "--out", out, "--quiet", *extra]) == 3
+        err = capsys.readouterr().err
+        assert err.count("invalid scenario") == 3
+        assert "Traceback" not in err
 
     def test_high_throughput_tracks_terminals(self, tmp_path):
         out = tmp_path / "figures"

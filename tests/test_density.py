@@ -154,6 +154,13 @@ class TestField:
         dom = Domain.interval(0.0, 1.0, 5)
         with pytest.raises(ValueError):
             DensityField(dom, np.array([1.0, -0.5, 1.0, 1.0, 1.0]), 1.0)
+        # NaN passes a `< 0` test and an infinite mass scales to NaN
+        for bad in (np.nan, np.inf):
+            for values in ([1.0, bad, 1.0, 1.0, 1.0], [bad] * 5):
+                with pytest.raises(ValueError):
+                    DensityField(dom, np.array(values), 1.0)
+                with pytest.raises(ValueError):
+                    DensityField.from_values(dom, np.array(values))
 
     def test_throughput_positive(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from backhaulopt.density import DensityField, Domain
 from backhaulopt.discrete_placement import voronoi_partition
 from backhaulopt.power_model import RadioParams, SingularGainError, total_power
 
-SETTINGS = settings(max_examples=25, deadline=None)
+SETTINGS = settings(max_examples=25)
 
 
 @st.composite
