@@ -151,7 +151,7 @@ def _parse_scenario(scenario, grid, seed):
     mode_name, mode_cfg = next(iter(mode.items()))
     if not isinstance(mode_cfg, dict):
         raise ScenarioError(f"mode.{mode_name} must be an object")
-    if seed is not None:
+    if seed is not None and mode_name == "discrete":
         mode_cfg = dict(mode_cfg, seed=seed)
     return d, params, mode_name, mode_cfg
 

@@ -150,13 +150,13 @@ class Measure1D:
             raise ValueError("a measure needs matching 1D grid and value arrays")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("measure grid must be strictly increasing")
-        if values.min() < -1e-12:
-            raise ValueError("measure densities must be nonnegative")
+        if not (np.all(np.isfinite(values)) and values.min() >= -1e-12):
+            raise ValueError("measure densities must be finite and nonnegative")
         self.grid = grid
         self.values = np.maximum(values, 0.0)
         self.total_mass = float(simpson(self.values, x=grid))
-        if not self.total_mass > 0:
-            raise ValueError("measure mass must be positive")
+        if not 0 < self.total_mass < math.inf:
+            raise ValueError("measure mass must be positive and finite")
         self.barycenter = float(simpson(self.values * grid, x=grid)) / self.total_mass
 
     @staticmethod

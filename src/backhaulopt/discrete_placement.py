@@ -92,7 +92,9 @@ def voronoi_partition(positions, d: DensityField) -> CellPartition:
     """Assign every grid cell to its nearest station (by cell center).
 
     Ties go to the lowest station index. Duplicate station positions
-    raise SingularGainError.
+    raise SingularGainError. The squared distance is built one axis at a
+    time and one station at a time with a running minimum, so no
+    cells x K array is made.
     """
     pos = _positions(positions, d.domain.ndim)
     K = pos.shape[0]
@@ -104,13 +106,18 @@ def voronoi_partition(positions, d: DensityField) -> CellPartition:
             raise SingularGainError(
                 "duplicate station positions; damping below 1 or jitter init avoids this"
             )
-    centers = d.domain.cell_centers()
-    if d.domain.ndim == 1:
-        centers = centers[:, None]
-    else:
-        centers = centers.reshape(-1, 2)
-    d2 = np.sum((centers[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
-    assignment = np.argmin(d2, axis=1)
+    mids = [0.5 * (ax[:-1] + ax[1:]) for ax in d.domain.axes]
+    best = np.full(d.domain.cell_counts, np.inf)
+    assignment = np.zeros(d.domain.cell_counts, dtype=int)
+    for k, p in enumerate(pos):
+        if np.isnan(p).any():  # NaN distances count as minimal, as in np.argmin
+            assignment.fill(k)
+            break
+        sq = [(m - c) ** 2 for m, c in zip(mids, p)]
+        d2 = sq[0] if len(sq) == 1 else np.add.outer(sq[0], sq[1])
+        closer = d2 < best
+        np.minimum(best, d2, out=best)
+        assignment[closer] = k
     return CellPartition(d.domain, assignment, K)
 
 
@@ -234,9 +241,9 @@ def optimize(
         keep_report = total_power(new_pos, partition, d, params)
         if _cost(cand_report, cfg) <= _cost(keep_report, cfg):
             partition, report = candidate, cand_report
+            traffic = station_traffic(partition, d)
         else:
             report = keep_report
-        traffic = station_traffic(partition, d)
         trace.append(_cost(report, cfg))
 
         pos = new_pos

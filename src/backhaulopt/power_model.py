@@ -136,12 +136,11 @@ def total_power(
 
     assign = partition.assignment.ravel()
     s0 = d.cell_masses().ravel()
-    pc = pos[assign]
     cell_moments = (
         d.cell_second_moments().ravel()
         - 2.0
-        * sum(pc[:, k] * m.ravel() for k, m in enumerate(d.cell_first_moments()))
-        + np.sum(pc * pc, axis=1) * s0
+        * sum(pos[:, k][assign] * m.ravel() for k, m in enumerate(d.cell_first_moments()))
+        + np.sum(pos * pos, axis=1)[assign] * s0
     )
     intra = params.noise_power * params.shannon_factor * np.bincount(
         assign, weights=np.maximum(cell_moments, 0.0), minlength=K

@@ -201,6 +201,22 @@ class TestContinuumModes:
         })
         assert main(["run", scenario]) == 3
 
+    @pytest.mark.parametrize("mode", ["closed_form", "continuum"])
+    def test_seed_override_is_ignored(self, tmp_path, mode):
+        outs = []
+        for sub, extra in (("plain", []), ("seeded", ["--seed", "3"])):
+            out = tmp_path / sub
+            scenario = write_scenario(tmp_path, {
+                "sigma2": 1.0,
+                "theta": 1.0,
+                "density": centered_density(),
+                "mode": {mode: {}},
+                "output_dir": str(out),
+            }, name=f"{sub}.json")
+            assert main(["run", scenario, "--quiet", *extra]) == 0
+            outs.append((out / "bs_density.csv").read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestCompareMode:
     def scenario(self, tmp_path, out):

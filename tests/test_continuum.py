@@ -164,6 +164,15 @@ class TestMeasure1D:
         with pytest.raises(ValueError):
             Measure1D(np.linspace(0, 1, 5), np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Measure1D(np.linspace(0, 1, 5), np.array([1.0, 1.0, bad, 1.0, 1.0]))
+
+    def test_overflowing_mass_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            Measure1D(np.linspace(0, 1, 5), np.full(5, 1e308))
+
     def test_tiny_negative_values_clamped(self):
         grid = np.linspace(0.0, 1.0, 5)
         nu = Measure1D(grid, np.array([1.0, -1e-13, 1.0, 1.0, 1.0]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,28 @@ class TestVoronoi:
         partition = voronoi_partition(np.array([[0.25, 0.5], [0.75, 0.5]]), d)
         counts = np.bincount(partition.assignment.ravel(), minlength=2)
         np.testing.assert_array_equal(counts, [200, 200])
+
+    def test_nan_station_takes_every_cell(self):
+        # the rule of a dense argmin: a NaN distance is the first minimum
+        d = uniform_field(11)
+        for pos, owner in (([0.2, np.nan, 0.7, np.nan], 1), ([np.nan, 0.5], 0)):
+            assert np.all(voronoi_partition(np.array(pos), d).assignment == owner)
+
+    def test_memory_is_linear_in_cells(self):
+        d = DensityField.from_spec(
+            FunctionSpec("uniform", {}), 1.0, Domain.rectangle((0.0, 1.0), (0.0, 1.0), 201)
+        )
+        pos = np.random.default_rng(5).uniform(0.0, 1.0, (64, 2))
+        cells = 200 * 200
+        tracemalloc.start()
+        try:
+            partition = voronoi_partition(pos, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.bincount(partition.assignment.ravel()).sum() == cells
+        # a cells x K x 2 float tensor alone would take 64 * 2 = 128 floats per cell
+        assert peak < 8 * cells * 8
 
 
 class TestUpdate:

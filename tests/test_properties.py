@@ -59,3 +59,46 @@ def test_coincident_positions_are_rejected(instance):
     dup = np.insert(pos, rng.integers(0, len(pos) + 1), pos[rng.integers(0, len(pos))], axis=0)
     with pytest.raises(SingularGainError):
         voronoi_partition(dup, d)
+
+
+def dense_assignment(pos, d):
+    """The nearest-station rule as one cells x K x ndim distance tensor and argmin."""
+    centers = d.domain.cell_centers().reshape(-1, d.domain.ndim)
+    d2 = np.sum((centers[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
+    return np.argmin(d2, axis=1)
+
+
+@st.composite
+def station_layouts(draw):
+    """A 1D or 2D grid and 1 to 8 distinct stations. On a lattice draw the
+    grid (at most 9 nodes per axis) has integer nodes and every station
+    sits on a node or a cell center, so many cell centers are exactly
+    equidistant from two or more stations; otherwise bounds and stations
+    are random."""
+    ndim = draw(st.sampled_from([1, 2]))
+    lattice = draw(st.booleans())
+    resolution = tuple(draw(st.integers(2, 9 if lattice else 41)) for _ in range(ndim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    K = draw(st.integers(1, 8))
+    if lattice:
+        lo = rng.integers(-5, 5, ndim).astype(float)
+        bounds = tuple((a, a + r - 1) for a, r in zip(lo, resolution))
+        # half-integer offsets from the lower corner: nodes and cell centers
+        slots = [np.arange(2 * r - 1) / 2.0 for r in resolution]
+        cand = np.stack(np.meshgrid(*slots, indexing="ij"), axis=-1).reshape(-1, ndim) + lo
+        K = min(K, len(cand))
+        pos = cand[rng.choice(len(cand), K, replace=False)]
+    else:
+        bounds = tuple((a, a + w) for a, w in rng.uniform([-2.0, 0.5], [2.0, 3.0], (ndim, 2)))
+        lo, hi = np.array(bounds).T
+        pos = rng.uniform(lo, hi, (K, ndim))
+    domain = Domain(bounds, resolution)
+    return DensityField.from_values(domain, np.ones(resolution)), pos
+
+
+@settings(max_examples=100)
+@given(station_layouts())
+def test_assignment_matches_dense_argmin(layout):
+    d, pos = layout
+    partition = voronoi_partition(pos, d)
+    np.testing.assert_array_equal(partition.assignment.ravel(), dense_assignment(pos, d))
