@@ -329,11 +329,7 @@ def optimal_station_density(f: DensityField, throughput: float) -> Measure1D:
         raise ValueError(
             f"terminal density barycenter is {bary:.3g}; re-center the domain first"
         )
-    lam = dilation_factor(throughput)
-    a, b = f.domain.bounds[0]
-    ygrid = np.linspace(lam * a, lam * b, f.domain.resolution[0])
-    xq = np.clip(ygrid / lam, a, b)
-    return Measure1D(ygrid, f.eval(xq) / lam)
+    return pushforward(f, AffineMap(dilation_factor(throughput)), 1.0)
 
 
 def quantile_placements(nu: Measure1D, K: int) -> np.ndarray:

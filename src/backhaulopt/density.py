@@ -6,9 +6,11 @@ a throughput demand. A location-dependent demand is folded into the
 density (`fold_demand`) so that every downstream computation can assume a
 single constant per-unit-mass throughput.
 
-All integrals are composite Simpson sums with one panel per grid cell
-(values at the cell endpoints and the cell midpoint), which makes
-integrals over unions of grid cells exactly additive.
+All integrals are composite Simpson sums with one panel per grid cell,
+which makes integrals over unions of grid cells exactly additive. The
+samples live on the refined grid, grid nodes interleaved with cell
+midpoints, and one rule covers 1D and 2D: the 1D Simpson rule
+(h/6) * (f0 + 4 f1/2 + f1) applied along each axis in turn.
 """
 
 from __future__ import annotations
@@ -279,92 +281,59 @@ def _interp_grid(domain: Domain, values: np.ndarray, coords) -> np.ndarray:
     )
 
 
-class _Stencil:
-    """Function values at every Simpson evaluation point of the grid.
+def _refine(a: np.ndarray, axis: int) -> np.ndarray:
+    """`a` with the midpoint of every neighbouring pair inserted along `axis`."""
+    lead = (slice(None),) * axis
+    shape = list(a.shape)
+    shape[axis] = 2 * shape[axis] - 1
+    out = np.empty(shape)
+    out[lead + np.s_[::2,]] = a
+    out[lead + np.s_[1::2,]] = 0.5 * (a[lead + np.s_[:-1,]] + a[lead + np.s_[1:,]])
+    return out
 
-    1D: values at nodes and at cell midpoints. 2D: values at nodes, at
-    x-midpoints, at y-midpoints, and at cell centers. These are exactly
-    the points a per-cell Simpson panel needs.
+
+def _simpson_points(axes) -> np.ndarray:
+    """Every Simpson point of the panels between consecutive entries of `axes`.
+
+    The refined grid of panel edges and panel midpoints: shape (2n-1,)
+    in 1D, (2nx-1, 2ny-1, 2) in 2D, as `spec_values` takes points.
     """
+    fine = [_refine(ax, 0) for ax in axes]
+    if len(fine) == 1:
+        return fine[0]
+    return np.stack(np.meshgrid(*fine, indexing="ij"), axis=-1)
 
-    __slots__ = ("ndim", "arrays")
 
-    def __init__(self, ndim: int, arrays: tuple):
-        self.ndim = ndim
-        self.arrays = arrays
+def _stencil(spec: FunctionSpec, domain: Domain) -> np.ndarray:
+    """A spec's values at every Simpson point of the domain grid."""
+    return spec_values(spec, domain, _simpson_points(domain.axes))
 
-    @staticmethod
-    def points(domain: Domain):
-        """Evaluation-point arrays, in the same order as the value arrays."""
-        if domain.ndim == 1:
-            x = domain.axis(0)
-            return (x, 0.5 * (x[:-1] + x[1:]))
-        xg, yg = domain.axes
-        xm, ym = 0.5 * (xg[:-1] + xg[1:]), 0.5 * (yg[:-1] + yg[1:])
 
-        def mesh(a, b):
-            A, B = np.meshgrid(a, b, indexing="ij")
-            return np.stack([A, B], axis=-1)
+def _node_stencil(domain: Domain, values: np.ndarray) -> np.ndarray:
+    """Simpson-point values of gridded data: midpoints by linear interpolation."""
+    f = np.asarray(values, dtype=float).reshape(domain.resolution)
+    for k in range(domain.ndim):
+        f = _refine(f, k)
+    return f
 
-        return (mesh(xg, yg), mesh(xm, yg), mesh(xg, ym), mesh(xm, ym))
 
-    @staticmethod
-    def evaluate(spec: FunctionSpec, domain: Domain) -> "_Stencil":
-        arrays = tuple(spec_values(spec, domain, p) for p in _Stencil.points(domain))
-        return _Stencil(domain.ndim, arrays)
+def _simpson(f: np.ndarray, widths, weights=(None, None)) -> np.ndarray:
+    """Per-cell Simpson integrals of samples `f` on the refined grid.
 
-    @staticmethod
-    def from_node_values(domain: Domain, values: np.ndarray) -> "_Stencil":
-        """Stencil for gridded data: midpoints by linear interpolation."""
-        v = np.asarray(values, dtype=float).reshape(domain.resolution)
-        if domain.ndim == 1:
-            return _Stencil(1, (v, 0.5 * (v[:-1] + v[1:])))
-        v_mn = 0.5 * (v[:-1, :] + v[1:, :])
-        v_nm = 0.5 * (v[:, :-1] + v[:, 1:])
-        v_mm = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
-        return _Stencil(2, (v, v_mn, v_nm, v_mm))
-
-    def scaled(self, factor: float) -> "_Stencil":
-        return _Stencil(self.ndim, tuple(factor * a for a in self.arrays))
-
-    def product(self, other: "_Stencil") -> "_Stencil":
-        return _Stencil(
-            self.ndim, tuple(a * b for a, b in zip(self.arrays, other.arrays))
+    Applies (h/6) * (f0 + 4 f1/2 + f1) along each axis in turn. `widths`
+    gives each axis's cell widths, a scalar or one per cell; `weights`
+    holds for each axis None or a factor sampled at that axis's Simpson
+    points. Returns one C-contiguous value per cell.
+    """
+    for k, h in enumerate(widths):
+        trailing = (1,) * (f.ndim - k - 1)
+        if weights[k] is not None:
+            f = f * np.reshape(weights[k], (-1,) + trailing)
+        lead = (slice(None),) * k
+        f = (np.reshape(h, (-1,) + trailing) / 6.0) * (
+            f[lead + np.s_[:-1:2,]] + 4.0 * f[lead + np.s_[1::2,]] + f[lead + np.s_[2::2,]]
         )
-
-    def minimum(self) -> float:
-        return min(float(a.min()) for a in self.arrays)
-
-
-def _cell_integrals(domain: Domain, stencil: _Stencil, ax=None, ay=None) -> np.ndarray:
-    """Per-cell Simpson integrals of a(x) * b(y) * f.
-
-    `ax`/`ay` give the per-axis weight functions sampled at (nodes, mids);
-    None means the constant 1. Returns one value per grid cell.
-    """
-    if domain.ndim == 1:
-        h = domain.spacings[0]
-        v, vm = stencil.arrays
-        an, am = ax if ax is not None else (np.ones_like(v), np.ones_like(vm))
-        return (h / 6.0) * (an[:-1] * v[:-1] + 4.0 * am * vm + an[1:] * v[1:])
-    hx, hy = domain.spacings
-    v_nn, v_mn, v_nm, v_mm = stencil.arrays
-    xg, yg = domain.axes
-    xm, ym = 0.5 * (xg[:-1] + xg[1:]), 0.5 * (yg[:-1] + yg[1:])
-    an, am = ax if ax is not None else (np.ones_like(xg), np.ones_like(xm))
-    bn, bm = ay if ay is not None else (np.ones_like(yg), np.ones_like(ym))
-    An, Am = an[:, None], am[:, None]
-    Bn, Bm = bn[None, :], bm[None, :]
-    corners = (
-        An[:-1] * Bn[:, :-1] * v_nn[:-1, :-1]
-        + An[1:] * Bn[:, :-1] * v_nn[1:, :-1]
-        + An[:-1] * Bn[:, 1:] * v_nn[:-1, 1:]
-        + An[1:] * Bn[:, 1:] * v_nn[1:, 1:]
-    )
-    x_edges = Am * (Bn[:, :-1] * v_mn[:, :-1] + Bn[:, 1:] * v_mn[:, 1:])
-    y_edges = Bm * (An[:-1] * v_nm[:-1, :] + An[1:] * v_nm[1:, :])
-    centers = Am * Bm * v_mm
-    return (hx * hy / 36.0) * (corners + 4.0 * (x_edges + y_edges) + 16.0 * centers)
+    return f
 
 
 class DensityField:
@@ -390,21 +359,21 @@ class DensityField:
         analytic: Optional[FunctionSpec] = None,
         *,
         scale: float = 1.0,
-        stencil: Optional[_Stencil] = None,
+        stencil: Optional[np.ndarray] = None,
     ):
         self.domain = domain
-        self.values = np.asarray(values, dtype=float).reshape(domain.resolution)
+        self.values = np.ascontiguousarray(values, dtype=float).reshape(domain.resolution)
         self.throughput = float(throughput)
         self.analytic = analytic
         self._scale = float(scale)
         if not self.throughput > 0:
             raise ValueError("throughput must be positive")
         if stencil is None:
-            stencil = _Stencil.from_node_values(domain, self.values)
+            stencil = _node_stencil(domain, self.values)
         self._stencil = stencil
-        if not stencil.minimum() >= -1e-12:
+        if not stencil.min() >= -1e-12:
             raise ValueError("density values must be nonnegative")
-        self._cell_mass = _cell_integrals(domain, stencil)
+        self._cell_mass = _simpson(stencil, domain.spacings)
         mass = float(self._cell_mass.sum())
         if not abs(mass - 1.0) <= 1e-9:
             raise ValueError(
@@ -435,34 +404,27 @@ class DensityField:
             return DensityField.from_values(
                 domain, np.asarray(spec.params["values"], dtype=float), throughput
             )
-        return DensityField._normalized(domain, _Stencil.evaluate(spec, domain), throughput, spec)
+        return DensityField._normalized(domain, _stencil(spec, domain), throughput, spec)
 
     @staticmethod
     def from_values(
         domain: Domain, values: np.ndarray, throughput: float = 1.0
     ) -> "DensityField":
         """Build a normalized field from raw node samples."""
-        return DensityField._normalized(
-            domain, _Stencil.from_node_values(domain, values), throughput
-        )
+        return DensityField._normalized(domain, _node_stencil(domain, values), throughput)
 
     @staticmethod
-    def _normalized(domain: Domain, stencil: _Stencil, throughput, analytic=None) -> "DensityField":
-        """The field of a stencil scaled to unit Simpson mass."""
-        if not stencil.minimum() >= -1e-12:
+    def _normalized(domain: Domain, stencil: np.ndarray, throughput, analytic=None) -> "DensityField":
+        """The field of Simpson-point samples scaled to unit Simpson mass."""
+        if not stencil.min() >= -1e-12:
             raise ValueError("density values must be nonnegative")
-        mass = float(_cell_integrals(domain, stencil).sum())
+        mass = float(_simpson(stencil, domain.spacings).sum())
         if not 0 < mass < math.inf:
             raise ValueError("density mass must be positive and finite")
         scale = 1.0 / mass
-        return DensityField(
-            domain,
-            scale * stencil.arrays[0],
-            throughput,
-            analytic,
-            scale=scale,
-            stencil=stencil.scaled(scale),
-        )
+        stencil = scale * stencil
+        nodes = stencil[np.s_[::2,] * domain.ndim]
+        return DensityField(domain, nodes, throughput, analytic, scale=scale, stencil=stencil)
 
     # ------------------------------------------------------------------- eval
 
@@ -478,13 +440,7 @@ class DensityField:
             raise ValueError("point outside the density domain")
         if self.analytic is not None:
             return self._scale * spec_values(self.analytic, self.domain, pts)
-        if self.domain.ndim == 1:
-            coords = [pts.reshape(-1)]
-            shape = pts.shape
-        else:
-            coords = [pts[..., 0].ravel(), pts[..., 1].ravel()]
-            shape = pts.shape[:-1]
-        return _interp_grid(self.domain, self.values, coords).reshape(shape)
+        return spec_values(FunctionSpec("grid", {"values": self.values}), self.domain, pts)
 
     # ------------------------------------------------------------- quadrature
 
@@ -492,38 +448,26 @@ class DensityField:
         """Simpson mass of every grid cell; sums to 1."""
         return self._cell_mass
 
-    def _axis_weights(self, k: int, power: int):
-        ax = self.domain.axis(k)
-        am = 0.5 * (ax[:-1] + ax[1:])
-        return ax**power, am**power
+    def _axis_moment(self, k: int, power: int) -> np.ndarray:
+        """Per-cell integrals of coordinate k to `power` against the density."""
+        weights = [None] * self.domain.ndim
+        weights[k] = _refine(self.domain.axis(k), 0) ** power
+        return _simpson(self._stencil, self.domain.spacings, weights)
 
     def cell_first_moments(self) -> tuple[np.ndarray, ...]:
         """Per-cell integrals of each coordinate against the density."""
-        key = "first"
-        if key not in self._moment_cache:
-            if self.domain.ndim == 1:
-                moments = (
-                    _cell_integrals(self.domain, self._stencil, ax=self._axis_weights(0, 1)),
-                )
-            else:
-                moments = (
-                    _cell_integrals(self.domain, self._stencil, ax=self._axis_weights(0, 1)),
-                    _cell_integrals(self.domain, self._stencil, ay=self._axis_weights(1, 1)),
-                )
-            self._moment_cache[key] = moments
-        return self._moment_cache[key]
+        if "first" not in self._moment_cache:
+            self._moment_cache["first"] = tuple(
+                self._axis_moment(k, 1) for k in range(self.domain.ndim)
+            )
+        return self._moment_cache["first"]
 
     def cell_second_moments(self) -> np.ndarray:
         """Per-cell integrals of the squared distance to the origin."""
-        key = "second"
-        if key not in self._moment_cache:
-            out = _cell_integrals(self.domain, self._stencil, ax=self._axis_weights(0, 2))
-            if self.domain.ndim == 2:
-                out = out + _cell_integrals(
-                    self.domain, self._stencil, ay=self._axis_weights(1, 2)
-                )
-            self._moment_cache[key] = out
-        return self._moment_cache[key]
+        if "second" not in self._moment_cache:
+            terms = [self._axis_moment(k, 2) for k in range(self.domain.ndim)]
+            self._moment_cache["second"] = sum(terms[1:], terms[0])
+        return self._moment_cache["second"]
 
     def centroid(self) -> np.ndarray:
         """Barycenter of the density."""
@@ -546,25 +490,14 @@ class DensityField:
         """
         if region is None:
             return float(self._cell_mass.sum())
-        bounds = self._normalize_region(region)
-        panels = [self._axis_panels(k, lo, hi) for k, (lo, hi) in enumerate(bounds)]
-        if any(p is None for p in panels):
-            return 0.0
-        if self.domain.ndim == 1:
-            lo, hi = panels[0]
-            pts = np.concatenate([lo, 0.5 * (lo + hi), hi])
-            vals = self.eval(pts).reshape(3, -1)
-            return float(np.sum((hi - lo) / 6.0 * (vals[0] + 4.0 * vals[1] + vals[2])))
-        (xlo, xhi), (ylo, yhi) = panels
-        x3 = np.stack([xlo, 0.5 * (xlo + xhi), xhi], axis=1)
-        y3 = np.stack([ylo, 0.5 * (ylo + yhi), yhi], axis=1)
-        px, py = np.meshgrid(x3.ravel(), y3.ravel(), indexing="ij")
-        vals = self.eval(np.stack([px, py], axis=-1))
-        vals = vals.reshape(len(xlo), 3, len(ylo), 3)
-        w = np.array([1.0, 4.0, 1.0]) / 6.0
-        inner = np.einsum("u,v,punv->pn", w, w, vals)
-        sizes = np.outer(xhi - xlo, yhi - ylo)
-        return float(np.sum(sizes * inner))
+        edges = []
+        for k, (lo, hi) in enumerate(self._normalize_region(region)):
+            if hi <= lo:
+                return 0.0
+            ax = self.domain.axis(k)
+            edges.append(np.concatenate([[lo], ax[(ax > lo) & (ax < hi)], [hi]]))
+        vals = self.eval(_simpson_points(edges))
+        return float(_simpson(vals, [np.diff(e) for e in edges]).sum())
 
     def _normalize_region(self, region):
         if self.domain.ndim == 1:
@@ -583,15 +516,6 @@ class DensityField:
                 raise ValueError("region exceeds the density domain")
             out.append((min(max(lo, dlo), dhi), min(max(hi, dlo), dhi)))
         return out
-
-    def _axis_panels(self, k: int, lo: float, hi: float):
-        """Panel edges covering [lo, hi]: partial end cells, full cells between."""
-        if hi <= lo:
-            return None
-        ax = self.domain.axis(k)
-        inner = ax[(ax > lo) & (ax < hi)]
-        edges = np.concatenate([[lo], inner, [hi]])
-        return edges[:-1], edges[1:]
 
     def quantiles(self, levels) -> np.ndarray:
         """Quantile locations of a 1D density from its gridded CDF."""
@@ -636,12 +560,11 @@ def fold_demand(demand: DemandField) -> DensityField:
     base = DensityField.from_spec(
         demand.terminal_density, throughput=1.0, domain=demand.domain
     )
-    t_stencil = _Stencil.evaluate(demand.throughput_demand, demand.domain)
-    if not t_stencil.minimum() >= -1e-12:
+    t_stencil = _stencil(demand.throughput_demand, demand.domain)
+    if not t_stencil.min() >= -1e-12:
         raise ValueError("throughput demand must be nonnegative")
-    throughput = float(
-        _cell_integrals(demand.domain, base._stencil.product(t_stencil)).sum()
-    )
+    product = base._stencil * t_stencil
+    throughput = float(_simpson(product, demand.domain.spacings).sum())
     if not throughput > 0:
         raise ValueError("demand is identically zero; nothing to serve")
     if demand.throughput_demand.kind == "constant":
@@ -653,10 +576,10 @@ def fold_demand(demand: DemandField) -> DensityField:
             scale=base._scale,
             stencil=base._stencil,
         )
-    folded = base._stencil.product(t_stencil).scaled(1.0 / throughput)
+    folded = (1.0 / throughput) * product
     return DensityField(
         demand.domain,
-        folded.arrays[0],
+        folded[np.s_[::2,] * demand.domain.ndim],
         throughput,
         analytic=None,
         stencil=folded,

@@ -91,12 +91,14 @@ class PlacementSolution:
 def voronoi_partition(positions, d: DensityField) -> CellPartition:
     """Assign every grid cell to its nearest station (by cell center).
 
-    Ties go to the lowest station index. Duplicate station positions
-    raise SingularGainError. The squared distance is built one axis at a
-    time and one station at a time with a running minimum, so no
-    cells x K array is made.
+    Ties go to the lowest station index. Non-finite positions raise
+    ValueError and duplicate ones SingularGainError. The squared
+    distance is built one axis at a time and one station at a time with
+    a running minimum, so no cells x K array is made.
     """
     pos = _positions(positions, d.domain.ndim)
+    if not np.all(np.isfinite(pos)):
+        raise ValueError("station positions must be finite")
     K = pos.shape[0]
     if K > 1:
         diff = pos[:, None, :] - pos[None, :, :]
@@ -110,9 +112,6 @@ def voronoi_partition(positions, d: DensityField) -> CellPartition:
     best = np.full(d.domain.cell_counts, np.inf)
     assignment = np.zeros(d.domain.cell_counts, dtype=int)
     for k, p in enumerate(pos):
-        if np.isnan(p).any():  # NaN distances count as minimal, as in np.argmin
-            assignment.fill(k)
-            break
         sq = [(m - c) ** 2 for m, c in zip(mids, p)]
         d2 = sq[0] if len(sq) == 1 else np.add.outer(sq[0], sq[1])
         closer = d2 < best

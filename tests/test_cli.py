@@ -429,12 +429,14 @@ class TestValidation:
             {"density": centered_density(), "mode": {"continuum": {"tolerance": math.inf}}},
             {"mode": {"discrete": {"K": 1, "position_tolerance": math.inf}}},
             {"mode": {"discrete": {"K": 2, "init": "explicit", "positions": [math.nan, 0.5]}}},
+            # finite inputs whose power arithmetic overflows into NaN station positions
+            {"sigma2": 1e308, "mode": {"discrete": {"K": 2}}},
         ],
         ids=[
             "sigma2-list", "N-null", "sigma2-inf", "theta-inf",
             "tolerance-null", "max_steps-inf", "max_iterations-1e308", "resolution-inf",
             "output_dir-null", "theta-1e308", "candidates-inf", "tolerance-inf",
-            "position_tolerance-inf", "positions-nan",
+            "position_tolerance-inf", "positions-nan", "sigma2-1e308-overflow",
         ],
     )
     def test_bad_numbers_rejected(self, tmp_path, capsys, overrides):

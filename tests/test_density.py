@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from backhaulopt.density import (
     DemandField,
@@ -138,6 +139,18 @@ class TestIntegrate:
         region = ((0.0, 0.5), (0.0, 0.5))
         assert d.integrate(region) == pytest.approx(0.25, abs=1e-12)
 
+    def test_2d_partial_cells_match_erf_product(self):
+        # both axes cut cells; the "normal" kind is renormalized over the domain
+        d = DensityField.from_spec(
+            FunctionSpec("normal", {"mu": 0.0, "sigma": 1.0}),
+            1.0,
+            Domain.rectangle((-4.0, 4.0), (-4.0, 4.0), 401),
+        )
+        region = ((-0.37, 0.81), (-1.2, 0.45))
+        phi = lambda z: 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
+        expected = np.prod([(phi(hi) - phi(lo)) / (phi(4.0) - phi(-4.0)) for lo, hi in region])
+        assert d.integrate(region) == pytest.approx(expected, abs=1e-9)
+
     def test_expected_terminals(self):
         assert expected_terminals(uniform_field(), (0.0, 0.25), 100.0) == pytest.approx(25.0)
         assert expected_terminals(uniform_field(), (0.0, 0.25), 0.0) == 0.0
@@ -197,6 +210,33 @@ class TestField:
         d = uniform_field()
         q = d.quantiles([0.25, 0.5, 0.75])
         assert q == pytest.approx([0.25, 0.5, 0.75], abs=1e-9)
+
+
+class TestTensorRule:
+    """The 2D rule is the 1D Simpson rule applied along each axis."""
+
+    def fields(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.uniform(0.1, 2.0, 31), rng.uniform(0.1, 2.0, 23)
+        dx, dy = Domain.interval(0.0, 1.0, 31), Domain.interval(-1.0, 2.0, 23)
+        dom = Domain(dx.bounds + dy.bounds, (31, 23))
+        fx, fy = DensityField.from_values(dx, a), DensityField.from_values(dy, b)
+        return DensityField.from_values(dom, np.outer(a, b)), fx, fy
+
+    def test_separable_data_gives_outer_products(self):
+        d, fx, fy = self.fields()
+        mx, my = fx.cell_masses(), fy.cell_masses()
+        (x1,), (y1,) = fx.cell_first_moments(), fy.cell_first_moments()
+        np.testing.assert_allclose(d.cell_masses(), np.outer(mx, my), rtol=1e-14, atol=0)
+        first = d.cell_first_moments()
+        np.testing.assert_allclose(first[0], np.outer(x1, my), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(first[1], np.outer(mx, y1), rtol=1e-14, atol=0)
+
+    def test_cell_arrays_are_c_contiguous(self):
+        d, fx, _ = self.fields()
+        for f in (d, fx):
+            arrays = [f.cell_masses(), *f.cell_first_moments(), f.cell_second_moments()]
+            assert all(arr.flags.c_contiguous for arr in arrays)
 
 
 class TestFoldDemand:

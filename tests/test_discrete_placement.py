@@ -63,11 +63,15 @@ class TestVoronoi:
         counts = np.bincount(partition.assignment.ravel(), minlength=2)
         np.testing.assert_array_equal(counts, [200, 200])
 
-    def test_nan_station_takes_every_cell(self):
-        # the rule of a dense argmin: a NaN distance is the first minimum
-        d = uniform_field(11)
-        for pos, owner in (([0.2, np.nan, 0.7, np.nan], 1), ([np.nan, 0.5], 0)):
-            assert np.all(voronoi_partition(np.array(pos), d).assignment == owner)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_station_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            voronoi_partition(np.array([0.2, bad, 0.7]), uniform_field(11))
+        d2 = DensityField.from_spec(
+            FunctionSpec("uniform", {}), 1.0, Domain.rectangle((0.0, 1.0), (0.0, 1.0), 11)
+        )
+        with pytest.raises(ValueError, match="finite"):
+            voronoi_partition(np.array([[0.2, 0.3], [0.5, bad]]), d2)
 
     def test_memory_is_linear_in_cells(self):
         d = DensityField.from_spec(
