@@ -31,10 +31,8 @@ from .continuum import (
     SchemeResult,
     dilation_factor,
     fixed_point_step,
-    interaction_gradient,
     iterate_fixed_point,
     optimal_station_density,
-    potential_gradient,
     pushforward,
     quantile_placements,
     sup_distance,
@@ -93,13 +91,11 @@ __all__ = [
     "fixed_point_step",
     "fold_demand",
     "initial_positions",
-    "interaction_gradient",
     "iterate_fixed_point",
     "midpoint_total_power",
     "naive_total_power",
     "optimal_station_density",
     "optimize",
-    "potential_gradient",
     "pushforward",
     "quantile_placements",
     "station_traffic",

@@ -30,9 +30,7 @@ __all__ = [
     "Measure1D",
     "SchemeResult",
     "dilation_factor",
-    "potential_gradient",
     "pushforward",
-    "interaction_gradient",
     "fixed_point_step",
     "iterate_fixed_point",
     "optimal_station_density",
@@ -62,17 +60,6 @@ def dilation_factor(throughput: float) -> float:
     if not throughput > 0:
         raise ValueError("throughput must be positive")
     return 1.0 + 4.0 / (math.pow(2.0, throughput) - 1.0)
-
-
-def potential_gradient(throughput: float, x):
-    """Derivative of the transport potential of the optimal map.
-
-    The optimal map is x - gradient, so the negative slope here is what
-    pushes stations outward.
-    """
-    if not throughput > 0:
-        raise ValueError("throughput must be positive")
-    return -4.0 * np.asarray(x, dtype=float) / (math.pow(2.0, throughput) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -238,16 +225,6 @@ def pushforward(f: DensityField, T: TransportMap, mass: float) -> Measure1D:
     return Measure1D(ygrid, mass * f.eval(xq) / slope)
 
 
-def interaction_gradient(nu: Measure1D, x):
-    """Gradient of the quadratic interaction potential of a measure.
-
-    For the kernel |x - y|^2 the convolution gradient collapses to
-    2 * mass * (x - barycenter): only the aggregates of the measure
-    matter, which is what makes the fixed-point iteration degenerate.
-    """
-    return 2.0 * nu.total_mass * (np.asarray(x, dtype=float) - nu.barycenter)
-
-
 def fixed_point_step(
     f: DensityField, nu: Measure1D, params: RadioParams
 ) -> tuple[AffineMap, Measure1D]:
@@ -256,6 +233,9 @@ def fixed_point_step(
     Builds the map x + 2 / ((2^t - 1) m) * grad(V * nu) from the current
     station measure and pushes the terminal density through it. The
     measure must carry the total traffic m (equal to the throughput).
+    For the kernel V(x) = |x|^2 the gradient is 2 * mass * (x -
+    barycenter): only the aggregates of the measure matter, which is
+    what makes the iteration degenerate to an affine map.
     """
     if f.domain.ndim != 1:
         raise ValueError("the fixed-point scheme is 1D")

@@ -28,6 +28,7 @@ from .power_model import (
     SingularGainError,
     TrafficVector,
     _positions,
+    _price,
     station_traffic,
     total_power,
 )
@@ -122,42 +123,36 @@ def voronoi_partition(positions, d: DensityField) -> CellPartition:
 
 def update_positions(
     positions,
-    partition: CellPartition,
     traffic: TrafficVector,
-    d: DensityField,
     params: RadioParams,
     damping: float = 1.0,
     include_inter: bool = True,
 ) -> np.ndarray:
     """Move every station to its per-station cost minimizer.
 
-    Balances the mass centroid of the cell against the traffic-weighted
-    barycenter of the other stations. Stations whose cell carries no
-    mass and no traffic are left in place.
+    Balances the mass centroid of the cell (`traffic.first` over
+    `traffic.mass`, the sums of the partition the traffic was reduced
+    from) against the traffic-weighted barycenter of the other stations.
+    Stations whose cell carries no mass and no traffic are left in
+    place. A non-finite balance, e.g. from an overflowing noise power,
+    raises ValueError.
     """
-    pos = _positions(positions, d.domain.ndim)
-    K = partition.stations
-    assign = partition.assignment.ravel()
-    mu = np.bincount(assign, weights=d.cell_masses().ravel(), minlength=K)
-    b = np.stack(
-        [
-            np.bincount(assign, weights=m.ravel(), minlength=K)
-            for m in d.cell_first_moments()
-        ],
-        axis=1,
-    )
+    pos = _positions(positions, traffic.first.shape[1])
     A = params.noise_power * params.shannon_factor
 
-    num = A * b
-    den = A * mu
-    if include_inter:
-        m_i = traffic.per_station
-        m = traffic.total
-        w = 2.0 * params.noise_power / m * m_i
-        others_p = (m_i[:, None] * pos).sum(axis=0)[None, :] - m_i[:, None] * pos
-        others_m = m - m_i
-        num = num + w[:, None] * others_p
-        den = den + w * others_m
+    with np.errstate(all="ignore"):
+        num = A * traffic.first
+        den = A * traffic.mass
+        if include_inter:
+            m_i = traffic.per_station
+            m = traffic.total
+            w = 2.0 * params.noise_power / m * m_i
+            others_p = (m_i[:, None] * pos).sum(axis=0)[None, :] - m_i[:, None] * pos
+            others_m = m - m_i
+            num = num + w[:, None] * others_p
+            den = den + w * others_m
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+        raise ValueError("station update overflowed; the power scale is too large")
 
     new = pos.copy()
     movable = den > 0
@@ -231,16 +226,14 @@ def optimize(
     iterations = 0
     for _ in range(cfg.max_iterations):
         iterations += 1
-        new_pos = update_positions(
-            pos, partition, traffic, d, params, cfg.damping, cfg.include_inter
-        )
+        new_pos = update_positions(pos, traffic, params, cfg.damping, cfg.include_inter)
         move = float(np.max(np.linalg.norm(new_pos - pos, axis=1)))
         candidate = voronoi_partition(new_pos, d)
-        cand_report = total_power(new_pos, candidate, d, params)
-        keep_report = total_power(new_pos, partition, d, params)
+        cand_traffic = station_traffic(candidate, d)
+        cand_report = _price(new_pos, cand_traffic, params)
+        keep_report = _price(new_pos, traffic, params)
         if _cost(cand_report, cfg) <= _cost(keep_report, cfg):
-            partition, report = candidate, cand_report
-            traffic = station_traffic(partition, d)
+            partition, traffic, report = candidate, cand_traffic, cand_report
         else:
             report = keep_report
         trace.append(_cost(report, cfg))

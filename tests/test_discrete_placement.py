@@ -95,7 +95,7 @@ class TestUpdate:
         d = uniform_field()
         partition = voronoi_partition(np.array([0.9]), d)
         traffic = station_traffic(partition, d)
-        new = update_positions(np.array([0.9]), partition, traffic, d, PARAMS)
+        new = update_positions(np.array([0.9]), traffic, PARAMS)
         assert new[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_without_backhaul_update_is_centroid(self):
@@ -103,7 +103,7 @@ class TestUpdate:
         pos = np.array([0.25, 0.75])
         partition = voronoi_partition(pos, d)
         traffic = station_traffic(partition, d)
-        new = update_positions(pos, partition, traffic, d, PARAMS, include_inter=False)
+        new = update_positions(pos, traffic, PARAMS, include_inter=False)
         np.testing.assert_allclose(new.ravel(), [0.25, 0.75], atol=1e-12)
 
     def test_backhaul_pulls_stations_together(self):
@@ -111,7 +111,7 @@ class TestUpdate:
         pos = np.array([0.25, 0.75])
         partition = voronoi_partition(pos, d)
         traffic = station_traffic(partition, d)
-        new = update_positions(pos, partition, traffic, d, PARAMS).ravel()
+        new = update_positions(pos, traffic, PARAMS).ravel()
         assert new[0] > 0.25 and new[1] < 0.75
         # symmetric configuration stays symmetric about the midpoint
         assert new[0] + new[1] == pytest.approx(1.0, abs=1e-12)
@@ -121,7 +121,7 @@ class TestUpdate:
         pos = np.array([0.9])
         partition = voronoi_partition(pos, d)
         traffic = station_traffic(partition, d)
-        half = update_positions(pos, partition, traffic, d, PARAMS, damping=0.5)
+        half = update_positions(pos, traffic, PARAMS, damping=0.5)
         assert half[0, 0] == pytest.approx(0.7, abs=1e-12)
 
     def test_zero_mass_station_stays_put(self):
@@ -134,7 +134,7 @@ class TestUpdate:
         partition = voronoi_partition(pos, d)
         traffic = station_traffic(partition, d)
         assert traffic.per_station[1] == pytest.approx(0.0, abs=1e-12)
-        new = update_positions(pos, partition, traffic, d, PARAMS)
+        new = update_positions(pos, traffic, PARAMS)
         assert new[1, 0] == 0.9
 
 

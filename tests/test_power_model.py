@@ -24,6 +24,11 @@ def normal_field(throughput=1.0):
     return DensityField.from_spec(FunctionSpec("normal", {"mu": 0.0, "sigma": 1.0}), throughput)
 
 
+def single_cell(domain):
+    """Every cell to one station."""
+    return CellPartition(domain, np.zeros(domain.cell_counts, dtype=int), 1)
+
+
 def split(d, cut):
     """Two stations: cells whose center has x < cut, and the rest."""
     x = d.domain.cell_centers()
@@ -82,7 +87,7 @@ class TestIntraAt:
     # over uniform terminals on [0, 1] a station at 2 averages d^2 = 7/3
     def access(self, params):
         d = uniform_field()
-        report = total_power(np.array([2.0]), CellPartition.single_cell(d.domain), d, params)
+        report = total_power(np.array([2.0]), single_cell(d.domain), d, params)
         return report.intra_total
 
     def test_unit_case(self):
@@ -108,7 +113,7 @@ class TestIntraAt:
             Domain.interval(0.0, 1.0, 2001),
         )
         report = total_power(
-            np.array([0.5]), CellPartition.single_cell(d.domain), d, RadioParams(1.0, 1.0)
+            np.array([0.5]), single_cell(d.domain), d, RadioParams(1.0, 1.0)
         )
         assert report.intra_total == pytest.approx(1.0 / 24.0, abs=1e-12)
 
@@ -123,7 +128,7 @@ class TestCellQuantities:
     def test_full_domain_uniform_second_moment(self):
         d = uniform_field()
         report = total_power(
-            np.array([0.5]), CellPartition.single_cell(d.domain), d, RadioParams(1.0, 1.0)
+            np.array([0.5]), single_cell(d.domain), d, RadioParams(1.0, 1.0)
         )
         assert report.intra_per_cell[0] == pytest.approx(1.0 / 12.0, abs=1e-12)
 
@@ -140,7 +145,7 @@ class TestCellQuantities:
 
     def test_centroid_minimizes_intra(self):
         d = normal_field()
-        partition = CellPartition.single_cell(d.domain)
+        partition = single_cell(d.domain)
         p = RadioParams(1.0, 1.0)
         base = total_power(d.centroid(), partition, d, p).intra_total
         rng = np.random.default_rng(7)
@@ -150,7 +155,7 @@ class TestCellQuantities:
     def test_cell_traffic_scales_with_throughput(self):
         d1 = uniform_field()
         d5 = uniform_field(throughput=5.0)
-        partition = CellPartition.single_cell(d1.domain)
+        partition = single_cell(d1.domain)
         assert station_traffic(partition, d1).per_station[0] == pytest.approx(1.0, abs=1e-12)
         assert station_traffic(partition, d5).per_station[0] == pytest.approx(5.0, abs=1e-12)
 
@@ -212,7 +217,7 @@ class TestInterPower:
 class TestTotalPower:
     def test_single_station_has_no_inter(self):
         d = uniform_field()
-        partition = CellPartition.single_cell(d.domain)
+        partition = single_cell(d.domain)
         report = total_power(np.array([0.5]), partition, d, RadioParams(1.0, 1.0))
         assert report.inter_total == 0.0
         assert report.total == pytest.approx(1.0 / 12.0, abs=1e-10)
@@ -285,7 +290,7 @@ class TestTotalPower:
     def test_position_count_must_match(self):
         d = uniform_field(101)
         with pytest.raises(ValueError):
-            total_power(np.array([0.3, 0.7]), CellPartition.single_cell(d.domain), d, RadioParams(1.0, 1.0))
+            total_power(np.array([0.3, 0.7]), single_cell(d.domain), d, RadioParams(1.0, 1.0))
 
     def test_2d_axis_symmetry(self):
         d = DensityField.from_spec(

@@ -1,14 +1,22 @@
-"""Property tests of the power objective and the assignment on random small instances."""
+"""Property tests of the power objective, the assignment and the optimizer on
+random small instances."""
+
+import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from backhaulopt.brute_force import naive_total_power
 from backhaulopt.density import DensityField, Domain
-from backhaulopt.discrete_placement import voronoi_partition
-from backhaulopt.power_model import RadioParams, SingularGainError, total_power
+from backhaulopt.discrete_placement import OptimizerConfig, optimize, voronoi_partition
+from backhaulopt.power_model import (
+    RadioParams,
+    SingularGainError,
+    station_traffic,
+    total_power,
+)
 
 SETTINGS = settings(max_examples=25)
 
@@ -59,6 +67,29 @@ def test_coincident_positions_are_rejected(instance):
     dup = np.insert(pos, rng.integers(0, len(pos) + 1), pos[rng.integers(0, len(pos))], axis=0)
     with pytest.raises(SingularGainError):
         voronoi_partition(dup, d)
+
+
+def assert_fields_equal(a, b):
+    for f in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
+
+
+@SETTINGS
+@given(instances())
+def test_optimize_keeps_its_station_sums_consistent(instance):
+    d, params, pos, rng = instance
+    cfg = OptimizerConfig(init="jitter", seed=int(rng.integers(2**31)), max_iterations=15)
+    try:
+        sol = optimize(d, len(pos), params, cfg)
+    except SingularGainError:
+        assume(False)
+    rise = np.diff(sol.trace)
+    assert np.all(rise <= 1e-12 * np.maximum(1.0, np.abs(sol.trace[:-1])))
+    assert sol.traffic.mass.sum() == pytest.approx(1.0, rel=1e-12)
+    assert sol.traffic.total == pytest.approx(d.throughput, rel=1e-12)
+    # the sums and price the optimizer kept are those of its final partition
+    assert_fields_equal(sol.traffic, station_traffic(sol.partition, d))
+    assert_fields_equal(sol.report, total_power(sol.positions, sol.partition, d, params))
 
 
 def dense_assignment(pos, d):
