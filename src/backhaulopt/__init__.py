@@ -15,92 +15,18 @@ linearization), and optimizes station positions against it:
   plot data.
 """
 
-from .brute_force import (
-    BruteForceResult,
-    ConsistencyReport,
-    brute_force_optimize,
-    consistency_report,
-    midpoint_total_power,
-    naive_total_power,
-)
-from .continuum import (
-    AffineMap,
-    GridCollapseError,
-    Measure1D,
-    SampledMap,
-    SchemeResult,
-    dilation_factor,
-    fixed_point_step,
-    iterate_fixed_point,
-    optimal_station_density,
-    pushforward,
-    quantile_placements,
-    sup_distance,
-)
-from .density import (
-    DemandField,
-    DensityField,
-    Domain,
-    FunctionSpec,
-    expected_terminals,
-    fold_demand,
-)
-from .discrete_placement import (
-    OptimizerConfig,
-    PlacementSolution,
-    initial_positions,
-    optimize,
-    update_positions,
-    voronoi_partition,
-)
-from .power_model import (
-    CellPartition,
-    PowerReport,
-    RadioParams,
-    SingularGainError,
-    TrafficVector,
-    station_traffic,
-    total_power,
-)
+from . import brute_force, continuum, density, discrete_placement, power_model
+from .brute_force import *
+from .continuum import *
+from .density import *
+from .discrete_placement import *
+from .power_model import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineMap",
-    "BruteForceResult",
-    "CellPartition",
-    "ConsistencyReport",
-    "DemandField",
-    "DensityField",
-    "Domain",
-    "FunctionSpec",
-    "GridCollapseError",
-    "Measure1D",
-    "OptimizerConfig",
-    "PlacementSolution",
-    "PowerReport",
-    "RadioParams",
-    "SampledMap",
-    "SchemeResult",
-    "SingularGainError",
-    "TrafficVector",
-    "brute_force_optimize",
-    "consistency_report",
-    "dilation_factor",
-    "expected_terminals",
-    "fixed_point_step",
-    "fold_demand",
-    "initial_positions",
-    "iterate_fixed_point",
-    "midpoint_total_power",
-    "naive_total_power",
-    "optimal_station_density",
-    "optimize",
-    "pushforward",
-    "quantile_placements",
-    "station_traffic",
-    "sup_distance",
-    "total_power",
-    "update_positions",
-    "voronoi_partition",
-]
+__all__ = []
+__all__ += brute_force.__all__
+__all__ += continuum.__all__
+__all__ += density.__all__
+__all__ += discrete_placement.__all__
+__all__ += power_model.__all__

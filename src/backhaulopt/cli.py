@@ -218,7 +218,7 @@ def _run_continuum(d, params, cfg_obj, outdir, quiet) -> int:
         block = cfg_obj["nu0"]
         spec = _parse_spec(block, "nu0")
         domain = _parse_domain(_require(block, "domain", "nu0"), "nu0.domain")
-        nu0 = Measure1D.from_spec(spec, params.throughput, domain)
+        nu0 = Measure1D.from_density(DensityField.from_spec(spec, 1.0, domain), params.throughput)
     else:
         nu0 = Measure1D.from_density(d, params.throughput)
     result = iterate_fixed_point(d, nu0, params, tolerance=tolerance, max_steps=max_steps)

@@ -115,23 +115,33 @@ class Domain:
 
     def cell_centers(self) -> np.ndarray:
         """Centers of the grid cells, shape (cells,) in 1D or (cells, 2) in 2D."""
-        mids = [0.5 * (ax[:-1] + ax[1:]) for ax in self.axes]
-        if self.ndim == 1:
-            return mids[0]
-        mx, my = np.meshgrid(mids[0], mids[1], indexing="ij")
-        return np.stack([mx.ravel(), my.ravel()], axis=-1)
+        pts = _grid_points([0.5 * (ax[:-1] + ax[1:]) for ax in self.axes])
+        return pts.reshape((-1,) + pts.shape[self.ndim :])
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if self.ndim == 1:
-            lo, hi = self.bounds[0]
+        coords, shape = _coords(points, self.ndim)
+        ok = np.ones(coords[0].shape, dtype=bool)
+        for x, (lo, hi) in zip(coords, self.bounds):
             tol = CONTAINMENT_TOL * (hi - lo)
-            return (pts >= lo - tol) & (pts <= hi + tol)
-        ok = np.ones(pts.shape[:-1], dtype=bool)
-        for k, (lo, hi) in enumerate(self.bounds):
-            tol = CONTAINMENT_TOL * (hi - lo)
-            ok &= (pts[..., k] >= lo - tol) & (pts[..., k] <= hi + tol)
-        return ok
+            ok &= (x >= lo - tol) & (x <= hi + tol)
+        return ok.reshape(shape)
+
+
+def _coords(points, ndim: int):
+    """Per-axis coordinates of points ((...,) in 1D, (..., 2) in 2D) and the points' shape."""
+    pts = np.asarray(points, dtype=float)
+    if ndim == 1:
+        return [pts.reshape(-1)], pts.shape
+    if pts.shape[-1:] != (ndim,):
+        raise ValueError(f"{ndim}D points must have a trailing axis of length {ndim}")
+    return [pts[..., k].ravel() for k in range(ndim)], pts.shape[:-1]
+
+
+def _grid_points(axes) -> np.ndarray:
+    """The tensor grid of per-axis coordinates: (n,) in 1D, (nx, ny, 2) in 2D."""
+    if len(axes) == 1:
+        return axes[0]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -191,16 +201,7 @@ def spec_values(spec: FunctionSpec, domain: Domain, points: np.ndarray) -> np.nd
     `points` is an array of locations, shape (...,) in 1D or (..., 2)
     in 2D. Grid-kind specs are evaluated by multilinear interpolation.
     """
-    pts = np.asarray(points, dtype=float)
-    if domain.ndim == 1:
-        coords = [pts.reshape(-1)]
-        out_shape = pts.shape
-    else:
-        if pts.shape[-1] != 2:
-            raise ValueError("2D points must have a trailing axis of length 2")
-        coords = [pts[..., 0].ravel(), pts[..., 1].ravel()]
-        out_shape = pts.shape[:-1]
-
+    coords, out_shape = _coords(points, domain.ndim)
     kind, p = spec.kind, spec.params
     if kind == "uniform":
         out = np.full(coords[0].shape, 1.0 / domain.volume)
@@ -296,12 +297,9 @@ def _simpson_points(axes) -> np.ndarray:
     """Every Simpson point of the panels between consecutive entries of `axes`.
 
     The refined grid of panel edges and panel midpoints: shape (2n-1,)
-    in 1D, (2nx-1, 2ny-1, 2) in 2D, as `spec_values` takes points.
+    in 1D, (2nx-1, 2ny-1, 2) in 2D.
     """
-    fine = [_refine(ax, 0) for ax in axes]
-    if len(fine) == 1:
-        return fine[0]
-    return np.stack(np.meshgrid(*fine, indexing="ij"), axis=-1)
+    return _grid_points([_refine(ax, 0) for ax in axes])
 
 
 def _stencil(spec: FunctionSpec, domain: Domain) -> np.ndarray:
@@ -500,15 +498,11 @@ class DensityField:
         return float(_simpson(vals, [np.diff(e) for e in edges]).sum())
 
     def _normalize_region(self, region):
-        if self.domain.ndim == 1:
-            lo, hi = region
-            pairs = [(float(lo), float(hi))]
-        else:
-            pairs = [(float(lo), float(hi)) for lo, hi in region]
-            if len(pairs) != 2:
-                raise ValueError("2D regions need bounds for both axes")
+        pairs = np.asarray(region, dtype=float).reshape(-1, 2)
+        if len(pairs) != self.domain.ndim:
+            raise ValueError(f"{self.domain.ndim}D regions need (lo, hi) bounds for each axis")
         out = []
-        for (lo, hi), (dlo, dhi) in zip(pairs, self.domain.bounds):
+        for (lo, hi), (dlo, dhi) in zip(pairs.tolist(), self.domain.bounds):
             tol = CONTAINMENT_TOL * (dhi - dlo)
             if lo > hi:
                 raise ValueError("region bounds must satisfy lower <= upper")
@@ -576,14 +570,7 @@ def fold_demand(demand: DemandField) -> DensityField:
             scale=base._scale,
             stencil=base._stencil,
         )
-    folded = (1.0 / throughput) * product
-    return DensityField(
-        demand.domain,
-        folded[np.s_[::2,] * demand.domain.ndim],
-        throughput,
-        analytic=None,
-        stencil=folded,
-    )
+    return DensityField._normalized(demand.domain, product, throughput)
 
 
 def expected_terminals(d: DensityField, region, total: float) -> float:

@@ -213,9 +213,6 @@ def optimize(
     """
     if cfg is None:
         cfg = OptimizerConfig()
-    if K < 1:
-        raise ValueError("station count must be at least 1")
-
     pos = initial_positions(d, K, cfg)
     partition = voronoi_partition(pos, d)
     traffic = station_traffic(partition, d)

@@ -160,8 +160,7 @@ class TestContinuumModes:
         np.testing.assert_allclose(outs["continuum"][:, 1], outs["closed_form"][:, 1], atol=1e-9)
 
     def test_off_center_start_reports_non_convergence(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        scenario = write_scenario(tmp_path, {
+        uniform_start = {
             "sigma2": 1.0,
             "theta": 1.0,
             "density": centered_density(),
@@ -173,11 +172,31 @@ class TestContinuumModes:
                     "domain": {"min": 0.2, "max": 1.2, "resolution": 1001},
                 },
             }},
-            "output_dir": str(out),
-        })
-        assert main(["run", scenario]) == 4
-        assert (out / "bs_density.csv").exists()
-        assert "did not converge" in capsys.readouterr().err
+        }
+        # the iterates carry mass theta = 1e-9, so every density change
+        # is tiny in absolute terms while the barycenter diverges
+        tiny_throughput = {
+            "sigma2": 1.0,
+            "theta": 1e-9,
+            "density": {
+                "kind": "normal",
+                "params": {"mu": 0.0, "sigma": 1.0},
+                "domain": {"min": -8.0, "max": 8.0, "resolution": 2001},
+            },
+            "mode": {"continuum": {
+                "nu0": {
+                    "kind": "normal",
+                    "params": {"mu": 0.5, "sigma": 0.3},
+                    "domain": {"min": -1.0, "max": 2.0, "resolution": 2001},
+                },
+            }},
+        }
+        for name, obj in (("uniform", uniform_start), ("tiny", tiny_throughput)):
+            out = tmp_path / name
+            scenario = write_scenario(tmp_path, dict(obj, output_dir=str(out)), name=f"{name}.json")
+            assert main(["run", scenario]) == 4, name
+            assert (out / "bs_density.csv").exists()
+            assert "did not converge" in capsys.readouterr().err
 
     def test_grid_override_changes_row_count(self, tmp_path):
         out = tmp_path / "out"

@@ -255,6 +255,9 @@ class TestPushforward:
         # spaced image grid cannot be strictly increasing there
         with pytest.raises(GridCollapseError):
             pushforward(standard_normal_field(), AffineMap(1.0, 1e16), 1.0)
+        # so can an image shrunk to one float: T(-8) and T(8) round to 1.0
+        with pytest.raises(GridCollapseError):
+            pushforward(standard_normal_field(), AffineMap(1e-300, 1.0), 1.0)
 
     def test_rejects_2d(self):
         f = DensityField.from_spec(
@@ -375,16 +378,34 @@ class TestIterate:
         assert result.steps == 8
         assert result.last_change > 1e-8
 
+    @pytest.mark.parametrize("theta", [1e-9, 0.5, 3.0])
+    def test_stop_test_is_free_of_the_traffic_scale(self, theta):
+        # the iterates carry mass theta; a centered start must still take
+        # the step to the fixed point and confirm it on the next one
+        f = standard_normal_field()
+        result = iterate_fixed_point(f, Measure1D.from_density(f, theta), RadioParams(1.0, theta))
+        closed = optimal_station_density(f, theta)
+        assert result.converged
+        assert result.steps == 2
+        assert sup_distance(result.measure.normalized(), closed) <= 1e-6 * closed.values.max()
+
     def test_runaway_divergence_ends_honestly(self):
         # with a large step budget the off-center oscillation outruns
         # float resolution; the run must end as non-converged, not crash
         f = standard_normal_field()
         grid = np.linspace(0.2, 1.2, 1001)
-        nu0 = Measure1D.from_values(grid, np.ones_like(grid), mass=1.0)
-        result = iterate_fixed_point(f, nu0, RadioParams(1.0, 1.0), max_steps=200)
-        assert not result.converged
-        assert 0 < result.steps < 200
-        assert math.isfinite(result.measure.barycenter)
+        runs = [(Measure1D.from_values(grid, np.ones_like(grid), mass=1.0), 1.0)]
+        # at theta = 1e-9 every density change is below 1e-8 in absolute
+        # terms, although the barycenter runs off to -3e9 on the first step
+        start = DensityField.from_spec(
+            FunctionSpec("normal", {"mu": 0.5, "sigma": 0.3}), 1.0, Domain.interval(-1.0, 2.0, 2001)
+        )
+        runs.append((Measure1D.from_density(start, 1e-9), 1e-9))
+        for nu0, theta in runs:
+            result = iterate_fixed_point(f, nu0, RadioParams(1.0, theta), max_steps=200)
+            assert not result.converged
+            assert 0 < result.steps < 200
+            assert math.isfinite(result.measure.barycenter)
 
     def test_flat_start_on_compact_support_is_edge_limited(self):
         # the sup metric sees the full edge jump of a compact-support

@@ -56,6 +56,12 @@ class TestDomain:
         dom = Domain.interval(0.0, 1.0, 11)
         assert dom.contains(np.array([0.0, 0.5, 1.0])).all()
         assert not dom.contains(np.array([1.5])).any()
+        rect = Domain.rectangle((0.0, 1.0), (0.0, 1.0), (11, 11))
+        assert rect.contains(np.array([[0.5, 0.5]])).all()
+        # 2D points need a trailing axis of exactly 2
+        for wrong in (np.full((4, 3), 9.0), np.full((4, 1), 0.5), 0.5):
+            with pytest.raises(ValueError):
+                rect.contains(wrong)
 
     def test_default_domain_normal_is_eight_sigma(self):
         dom = default_domain(FunctionSpec("normal", {"mu": 1.0, "sigma": 2.0}), 101)
@@ -118,6 +124,14 @@ class TestIntegrate:
     def test_region_outside_rejected(self):
         with pytest.raises(ValueError):
             uniform_field().integrate((0.5, 1.5))
+        # a region of the wrong rank for the field
+        with pytest.raises(ValueError):
+            uniform_field().integrate(((0.0, 0.5), (0.0, 0.5)))
+        square = DensityField.from_spec(
+            FunctionSpec("uniform", {}), 1.0, Domain.rectangle((0.0, 1.0), (0.0, 1.0), (11, 11))
+        )
+        with pytest.raises(ValueError):
+            square.integrate((0.0, 0.5))
 
     def test_additive_over_disjoint_regions(self):
         d = normal_field()
