@@ -1,11 +1,12 @@
 """Trust, but verify: the naive oracles and the consistency probe.
 
-naive_total_power re-derives the objective with plain Python loops and
-must agree with the vectorized path to roundoff. brute_force_optimize
-searches a candidate grid exhaustively under a deliberately different
-quadrature, bounding how far the alternating optimizer can be from the
-global optimum. consistency_report then puts the finite-K optima next
-to the asymptotic prediction.
+naive_total_power re-derives the objective from the squared distance of
+every Simpson sample to its station, without the solver's per-station
+moment sums, and must agree with the solver's path to roundoff.
+brute_force_optimize searches a candidate grid exhaustively under a
+deliberately different quadrature, bounding how far the alternating
+optimizer can be from the global optimum. consistency_report then puts
+the finite-K optima next to the asymptotic prediction.
 """
 
 import numpy as np
@@ -30,8 +31,8 @@ pos = np.array([-0.4, 0.1, 0.7])
 partition = voronoi_partition(pos, d)
 fast = total_power(pos, partition, d, params).total
 slow = naive_total_power(pos, partition.assignment.ravel(), d, params)
-print(f"vectorized objective  {fast:.15f}")
-print(f"plain-loop objective  {slow:.15f}")
+print(f"moment-sum objective  {fast:.15f}")
+print(f"per-sample objective  {slow:.15f}")
 print(f"difference            {abs(fast - slow):.2e}")
 
 candidates = np.linspace(-1.0, 1.0, 201)

@@ -33,66 +33,62 @@ MAX_CANDIDATES = 401
 
 
 def naive_total_power(positions, assignment, d: DensityField, params: RadioParams) -> float:
-    """Total power by plain Python loops over grid cells.
+    """Total power by direct quadrature of every grid cell.
 
     Mirrors the published objective term by term: per-cell Simpson
-    integral of the squared access distance, traffic-weighted backhaul
-    over ordered station pairs. Intended as a slow reference; agrees
-    with the vectorized path to roundoff on the same grid.
+    integral of the squared access distance, taken from the squared
+    distance of each Simpson sample to the cell's station, and
+    traffic-weighted backhaul over ordered station pairs. Vectorized
+    over cells but independent of the solver's moment sums; agrees with
+    them to roundoff on the same grid.
     """
     pos = np.asarray(positions, dtype=float).reshape(-1, d.domain.ndim)
     K = pos.shape[0]
-    assign = [int(a) for a in np.asarray(assignment).ravel()]
+    assign = np.asarray(assignment).ravel()
     gain = params.noise_power * (2.0 ** params.throughput - 1.0)
 
-    intra = [0.0] * K
-    mass = [0.0] * K
     if d.domain.ndim == 1:
         x = d.domain.axis(0)
         fx = np.asarray(d.values, dtype=float)
         mids = 0.5 * (x[:-1] + x[1:])
         fm = d.eval(mids)
-        for c in range(x.size - 1):
-            h = x[c + 1] - x[c]
-            p = pos[assign[c]][0]
-            w = h / 6.0
-            mass[assign[c]] += w * (fx[c] + 4.0 * fm[c] + fx[c + 1])
-            intra[assign[c]] += w * (
-                fx[c] * (x[c] - p) ** 2
-                + 4.0 * fm[c] * (mids[c] - p) ** 2
-                + fx[c + 1] * (x[c + 1] - p) ** 2
-            )
+        p = pos[assign, 0]
+        w = np.diff(x) / 6.0
+        cell_mass = w * (fx[:-1] + 4.0 * fm + fx[1:])
+        cell_intra = w * (
+            fx[:-1] * (x[:-1] - p) ** 2 + 4.0 * fm * (mids - p) ** 2 + fx[1:] * (x[1:] - p) ** 2
+        )
     else:
         xg, yg = d.domain.axes
-        fv = np.asarray(d.values, dtype=float)
         xm = 0.5 * (xg[:-1] + xg[1:])
         ym = 0.5 * (yg[:-1] + yg[1:])
-        # midpoint values fetched in one batch per line pattern
-        f_mn = d.eval(np.stack(np.meshgrid(xm, yg, indexing="ij"), axis=-1))
-        f_nm = d.eval(np.stack(np.meshgrid(xg, ym, indexing="ij"), axis=-1))
-        f_mm = d.eval(np.stack(np.meshgrid(xm, ym, indexing="ij"), axis=-1))
-        ncy = yg.size - 1
-        for cx in range(xg.size - 1):
-            for cy in range(ncy):
-                k = assign[cx * ncy + cy]
-                px, py = pos[k][0], pos[k][1]
-                w = (xg[cx + 1] - xg[cx]) * (yg[cy + 1] - yg[cy]) / 36.0
-                s_m = 0.0
-                s_i = 0.0
-                for gx, wx in ((cx, 1.0), (None, 4.0), (cx + 1, 1.0)):
-                    for gy, wy in ((cy, 1.0), (None, 4.0), (cy + 1, 1.0)):
-                        if gx is None and gy is None:
-                            val, ax, ay = f_mm[cx, cy], xm[cx], ym[cy]
-                        elif gx is None:
-                            val, ax, ay = f_mn[cx, gy], xm[cx], yg[gy]
-                        elif gy is None:
-                            val, ax, ay = f_nm[gx, cy], xg[gx], ym[cy]
-                        else:
-                            val, ax, ay = fv[gx, gy], xg[gx], yg[gy]
-                        s_m += wx * wy * val
-                        s_i += wx * wy * val * ((ax - px) ** 2 + (ay - py) ** 2)
-                mass[k] += w * s_m
-                intra[k] += w * s_i
+        # values at each (x node or midpoint, y node or midpoint) pattern
+        tables = {
+            (False, False): np.asarray(d.values, dtype=float),
+            (True, False): d.eval(np.stack(np.meshgrid(xm, yg, indexing="ij"), axis=-1)),
+            (False, True): d.eval(np.stack(np.meshgrid(xg, ym, indexing="ij"), axis=-1)),
+            (True, True): d.eval(np.stack(np.meshgrid(xm, ym, indexing="ij"), axis=-1)),
+        }
+        shape = (xg.size - 1, yg.size - 1)
+        px = pos[assign, 0].reshape(shape)
+        py = pos[assign, 1].reshape(shape)
+        # (sample coordinate, node slice, is midpoint, Simpson weight) per axis
+        xs, ys = (
+            ((g[:-1], np.s_[:-1], False, 1.0), (m, np.s_[:], True, 4.0), (g[1:], np.s_[1:], False, 1.0))
+            for g, m in ((xg, xm), (yg, ym))
+        )
+        s_m = np.zeros(shape)
+        s_i = np.zeros(shape)
+        for ax, sx, mx, wx in xs:
+            for ay, sy, my, wy in ys:
+                val = wx * wy * tables[mx, my][sx, sy]
+                s_m += val
+                s_i += val * ((ax[:, None] - px) ** 2 + (ay[None, :] - py) ** 2)
+        w = np.outer(np.diff(xg), np.diff(yg)) / 36.0
+        cell_mass = w * s_m
+        cell_intra = w * s_i
+    mass = np.bincount(assign, weights=cell_mass.ravel(), minlength=K)
+    intra = np.bincount(assign, weights=cell_intra.ravel(), minlength=K)
 
     traffic = [d.throughput * mk for mk in mass]
     m = sum(traffic)

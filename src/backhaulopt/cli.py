@@ -225,8 +225,9 @@ def _run_continuum(d, params, cfg_obj, outdir, quiet) -> int:
 
     _station_measure_csv(outdir / "bs_density.csv", result.measure)
     if not quiet:
+        outcome = "fixed point" if result.converged else "stopped"
         print(
-            f"fixed point after {result.steps} steps, "
+            f"{outcome} after {result.steps} steps, "
             f"last change {result.last_change:.3g}; wrote bs_density.csv to {outdir}"
         )
     if not result.converged:

@@ -562,15 +562,12 @@ def fold_demand(demand: DemandField) -> DensityField:
     if not throughput > 0:
         raise ValueError("demand is identically zero; nothing to serve")
     if demand.throughput_demand.kind == "constant":
-        return DensityField(
-            demand.domain,
-            base.values,
-            throughput,
-            analytic=base.analytic,
-            scale=base._scale,
-            stencil=base._stencil,
-        )
-    return DensityField._normalized(demand.domain, product, throughput)
+        scale, stencil, analytic = base._scale, base._stencil, base.analytic
+    else:  # `throughput` is the product's Simpson mass: normalize by it
+        scale, analytic = 1.0 / throughput, None
+        stencil = scale * product
+    nodes = stencil[np.s_[::2,] * demand.domain.ndim]
+    return DensityField(demand.domain, nodes, throughput, analytic, scale=scale, stencil=stencil)
 
 
 def expected_terminals(d: DensityField, region, total: float) -> float:

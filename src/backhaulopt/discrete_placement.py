@@ -1,14 +1,16 @@
 """Finite-station placement by alternating assignment and position updates.
 
 The optimizer alternates a nearest-station assignment of the grid cells
-with a closed-form update of every station position. For a fixed
-partition the cost is a positive quadratic in the positions, and the
-simultaneous per-station update is an exact coordinate minimizer whose
-full-vector step still descends (the relevant matrix 2D - H stays
-positive semidefinite). A reassignment can in principle raise the
-backhaul term because it reshuffles the per-cell traffic, so a new
-partition is only accepted when it does not increase total power; this
-makes the power trace monotone by construction.
+with an exact update of every station position. For a fixed partition
+the cost is a positive quadratic in the positions, and because each
+station's traffic is proportional to its cell mass, its minimizer has a
+closed form: every station moves to `kappa * c_i + (1 - kappa) * b`, its
+cell's mass centroid contracted toward the barycenter b of all cells by
+`kappa = (2^theta - 1) / (2^theta - 1 + 2 tau)` (see `update_positions`).
+A reassignment can in principle raise the backhaul term because it
+reshuffles the per-cell traffic, so a new partition is only accepted
+when it does not increase total power; this makes the power trace
+monotone by construction.
 """
 
 from __future__ import annotations
@@ -128,38 +130,32 @@ def update_positions(
     damping: float = 1.0,
     include_inter: bool = True,
 ) -> np.ndarray:
-    """Move every station to its per-station cost minimizer.
+    """Move every station to the exact minimizer of the fixed-partition cost.
 
-    Balances the mass centroid of the cell (`traffic.first` over
-    `traffic.mass`, the sums of the partition the traffic was reduced
-    from) against the traffic-weighted barycenter of the other stations.
-    Stations whose cell carries no mass and no traffic are left in
-    place. A non-finite balance, e.g. from an overflowing noise power,
-    raises ValueError.
+    With s0, s1 the cell masses and first moments (`traffic.mass`,
+    `traffic.first`) and t the station traffic, the gradient of the cost
+    vanishes where `M q = A s1` with `M = diag(A s0 + g m t) - g t t^T`,
+    `A = sigma2 (2^theta - 1)` and `g = 2 sigma2 / m`. Since `t = tau s0`
+    (tau the throughput per unit mass), Sherman-Morrison reduces the
+    solve to `q_i = kappa c_i + (1 - kappa) b`: c_i is the mass centroid
+    of cell i, b the barycenter of all cells and
+    `kappa = (2^theta - 1) / (2^theta - 1 + 2 tau)`; sigma2 cancels.
+    Without the backhaul term kappa is 1. `damping` blends the target
+    with the current position; stations whose cell carries no mass stay
+    in place.
     """
     pos = _positions(positions, traffic.first.shape[1])
-    A = params.noise_power * params.shannon_factor
-
-    with np.errstate(all="ignore"):
-        num = A * traffic.first
-        den = A * traffic.mass
-        if include_inter:
-            m_i = traffic.per_station
-            m = traffic.total
-            w = 2.0 * params.noise_power / m * m_i
-            others_p = (m_i[:, None] * pos).sum(axis=0)[None, :] - m_i[:, None] * pos
-            others_m = m - m_i
-            num = num + w[:, None] * others_p
-            den = den + w * others_m
-    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
-        raise ValueError("station update overflowed; the power scale is too large")
-
-    new = pos.copy()
-    movable = den > 0
-    new[movable] = num[movable] / den[movable, None]
-    blended = (1.0 - damping) * pos + damping * new
-    blended[~movable] = pos[~movable]
-    return blended
+    movable = traffic.mass > 0
+    target = pos.copy()
+    target[movable] = traffic.first[movable] / traffic.mass[movable, None]
+    if include_inter:
+        total_mass = traffic.mass.sum()
+        shannon = params.shannon_factor
+        kappa = shannon / (shannon + 2.0 * traffic.total / total_mass)
+        barycenter = traffic.first.sum(axis=0) / total_mass
+        target = kappa * target + (1.0 - kappa) * barycenter
+    blended = (1.0 - damping) * pos + damping * target
+    return np.where(movable[:, None], blended, pos)
 
 
 def initial_positions(

@@ -153,11 +153,9 @@ def _price(pos: np.ndarray, tv: TrafficVector, params: RadioParams) -> PowerRepo
 
     A station's access term is A * sum over its cell of |x - p|^2, which
     expands to A * (second - 2 p . first + |p|^2 mass); the clamp at 0
-    absorbs the cancellation of that expansion.
+    absorbs the cancellation of that expansion. A total that overflows,
+    e.g. from a huge noise power, raises ValueError.
     """
-    access = tv.second - 2.0 * np.sum(pos * tv.first, axis=1) + np.sum(pos * pos, axis=1) * tv.mass
-    intra = params.noise_power * params.shannon_factor * np.maximum(access, 0.0)
-
     traffic, m = tv.per_station, tv.total
     if not m > 0:
         raise ValueError("total traffic must be positive")
@@ -171,15 +169,20 @@ def _price(pos: np.ndarray, tv: TrafficVector, params: RadioParams) -> PowerRepo
         raise SingularGainError(
             "coincident stations with traffic on both ends"
         )
-    inter = params.noise_power / m * np.outer(traffic, traffic) * dist2
-    np.fill_diagonal(inter, 0.0)
-
-    intra_total = float(intra.sum())
-    inter_total = float(inter.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        access = tv.second - 2.0 * np.sum(pos * tv.first, axis=1) + np.sum(pos * pos, axis=1) * tv.mass
+        intra = params.noise_power * params.shannon_factor * np.maximum(access, 0.0)
+        inter = params.noise_power / m * np.outer(traffic, traffic) * dist2
+        np.fill_diagonal(inter, 0.0)
+        intra_total = float(intra.sum())
+        inter_total = float(inter.sum())
+    total = intra_total + inter_total
+    if not math.isfinite(total):
+        raise ValueError("total power overflows; the power scale is too large")
     return PowerReport(
         intra_per_cell=intra,
         inter_per_pair=inter,
         intra_total=intra_total,
         inter_total=inter_total,
-        total=intra_total + inter_total,
+        total=total,
     )

@@ -24,7 +24,80 @@ def normal_field():
     return DensityField.from_spec(FunctionSpec("normal", {"mu": 0.0, "sigma": 1.0}), 1.0)
 
 
+def loop_total_power(pos, assignment, d, params):
+    """`naive_total_power` as Python loops over cells and Simpson samples."""
+    pos = np.asarray(pos, dtype=float).reshape(-1, d.domain.ndim)
+    K, assign = len(pos), [int(a) for a in np.asarray(assignment).ravel()]
+    intra, mass = [0.0] * K, [0.0] * K
+    if d.domain.ndim == 1:
+        x = d.domain.axis(0)
+        mids = 0.5 * (x[:-1] + x[1:])
+        fx, fm = d.values, d.eval(mids)
+        for c in range(x.size - 1):
+            k, w = assign[c], (x[c + 1] - x[c]) / 6.0
+            p = pos[k][0]
+            mass[k] += w * (fx[c] + 4.0 * fm[c] + fx[c + 1])
+            intra[k] += w * (
+                fx[c] * (x[c] - p) ** 2
+                + 4.0 * fm[c] * (mids[c] - p) ** 2
+                + fx[c + 1] * (x[c + 1] - p) ** 2
+            )
+    else:
+        xg, yg = d.domain.axes
+        xm, ym = 0.5 * (xg[:-1] + xg[1:]), 0.5 * (yg[:-1] + yg[1:])
+        f_mn = d.eval(np.stack(np.meshgrid(xm, yg, indexing="ij"), axis=-1))
+        f_nm = d.eval(np.stack(np.meshgrid(xg, ym, indexing="ij"), axis=-1))
+        f_mm = d.eval(np.stack(np.meshgrid(xm, ym, indexing="ij"), axis=-1))
+        for cx in range(xg.size - 1):
+            for cy in range(yg.size - 1):
+                k = assign[cx * (yg.size - 1) + cy]
+                px, py = pos[k]
+                w = (xg[cx + 1] - xg[cx]) * (yg[cy + 1] - yg[cy]) / 36.0
+                s_m = s_i = 0.0
+                for gx, wx in ((cx, 1.0), (None, 4.0), (cx + 1, 1.0)):
+                    for gy, wy in ((cy, 1.0), (None, 4.0), (cy + 1, 1.0)):
+                        if gx is None and gy is None:
+                            val, ax, ay = f_mm[cx, cy], xm[cx], ym[cy]
+                        elif gx is None:
+                            val, ax, ay = f_mn[cx, gy], xm[cx], yg[gy]
+                        elif gy is None:
+                            val, ax, ay = f_nm[gx, cy], xg[gx], ym[cy]
+                        else:
+                            val, ax, ay = d.values[gx, gy], xg[gx], yg[gy]
+                        s_m += wx * wy * val
+                        s_i += wx * wy * val * ((ax - px) ** 2 + (ay - py) ** 2)
+                mass[k] += w * s_m
+                intra[k] += w * s_i
+    traffic = [d.throughput * mk for mk in mass]
+    total = params.noise_power * (2.0 ** params.throughput - 1.0) * sum(intra)
+    for i in range(K):
+        for j in range(K):
+            if i != j:
+                d2 = sum((pos[i][k] - pos[j][k]) ** 2 for k in range(d.domain.ndim))
+                total += params.noise_power * traffic[i] * traffic[j] * d2 / sum(traffic)
+    return total
+
+
 class TestNaiveReference:
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_equals_the_cell_loop(self, ndim):
+        # vectorizing over cells kept every float operation and its order
+        rng = np.random.default_rng(7)
+        if ndim == 1:
+            d = DensityField.from_spec(FunctionSpec("normal", {"mu": 0.0, "sigma": 1.0}), 1.3)
+        else:
+            d = DensityField.from_spec(
+                FunctionSpec("normal", {"mu": (0.2, 0.1), "sigma": (1.0, 0.7)}),
+                0.8,
+                Domain.rectangle((-3.0, 3.0), (-2.0, 3.0), (31, 21)),
+            )
+        lo, hi = np.array(d.domain.bounds).T
+        params = RadioParams(noise_power=1.7, throughput=0.6)
+        for K in (1, 3, 6):
+            pos = rng.uniform(lo, hi, (K, ndim))
+            assign = voronoi_partition(pos, d).assignment
+            assert naive_total_power(pos, assign, d, params) == loop_total_power(pos, assign, d, params)
+
     def test_matches_main_path_1d(self):
         d = uniform_field()
         pos = np.array([0.25, 0.75])

@@ -196,7 +196,9 @@ class TestContinuumModes:
             scenario = write_scenario(tmp_path, dict(obj, output_dir=str(out)), name=f"{name}.json")
             assert main(["run", scenario]) == 4, name
             assert (out / "bs_density.csv").exists()
-            assert "did not converge" in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert "did not converge" in captured.err
+            assert captured.out.startswith("stopped after "), name
 
     def test_grid_override_changes_row_count(self, tmp_path):
         out = tmp_path / "out"
@@ -448,24 +450,14 @@ class TestValidation:
             {"density": centered_density(), "mode": {"continuum": {"tolerance": math.inf}}},
             {"mode": {"discrete": {"K": 1, "position_tolerance": math.inf}}},
             {"mode": {"discrete": {"K": 2, "init": "explicit", "positions": [math.nan, 0.5]}}},
-            # finite inputs whose power arithmetic overflows into NaN station positions
-            {"sigma2": 1e308, "mode": {"discrete": {"K": 2}}},
-            # ... and whose single station would otherwise stay frozen at its start
-            {
-                "sigma2": 1e308,
-                "density": {
-                    "kind": "triangular",
-                    "params": {"a": 0.0, "c": 0.0, "b": 1.0},
-                    "domain": {"min": 0.0, "max": 1.0, "resolution": 2001},
-                },
-            },
+            # finite inputs whose access power overflows
+            {"sigma2": 1e308, "density": uniform_density(0.0, 100.0)},
         ],
         ids=[
             "sigma2-list", "N-null", "sigma2-inf", "theta-inf",
             "tolerance-null", "max_steps-inf", "max_iterations-1e308", "resolution-inf",
             "output_dir-null", "theta-1e308", "candidates-inf", "tolerance-inf",
             "position_tolerance-inf", "positions-nan", "sigma2-1e308-overflow",
-            "sigma2-1e308-frozen",
         ],
     )
     def test_bad_numbers_rejected(self, tmp_path, capsys, overrides):
@@ -473,6 +465,34 @@ class TestValidation:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out" / "placement.csv").exists()
         assert not (tmp_path / "out" / "bs_density.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, positions",
+        [
+            ({"mode": {"discrete": {"K": 2}}}, [5.0 / 12.0, 7.0 / 12.0]),
+            (
+                {"density": {
+                    "kind": "triangular",
+                    "params": {"a": 0.0, "c": 0.0, "b": 1.0},
+                    "domain": {"min": 0.0, "max": 1.0, "resolution": 2001},
+                }},
+                [1.0 / 3.0],
+            ),
+        ],
+        ids=["pair", "centroid"],
+    )
+    def test_huge_noise_power_scales_the_total(self, tmp_path, overrides, positions):
+        # the positions do not depend on sigma2, and the total scales with it
+        rows = {}
+        for sigma2 in (1.0, 1e308):
+            obj = self.base(tmp_path, sigma2=sigma2, **overrides)
+            obj["output_dir"] = str(tmp_path / str(sigma2))
+            assert main(["run", write_scenario(tmp_path, obj), "--quiet"]) == 0
+            rows[sigma2] = load_csv(tmp_path / str(sigma2) / "placement.csv")
+        totals = {s: load_csv(tmp_path / str(s) / "trace.csv")[-1, 1] for s in rows}
+        np.testing.assert_allclose(np.sort(rows[1.0][:, 1]), positions, atol=1e-4)
+        np.testing.assert_array_equal(rows[1e308][:, 1], rows[1.0][:, 1])
+        assert totals[1e308] == pytest.approx(1e308 * totals[1.0], rel=1e-12)
 
     @settings(max_examples=150)
     @given(scenario=junk_scenarios())

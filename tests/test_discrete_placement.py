@@ -245,8 +245,8 @@ class TestOptimize:
         assert a.report.total == pytest.approx(b.report.total, rel=1e-9)
 
     def test_symmetric_start_escapes_the_merged_point(self):
-        # the first update maps the mirror pair almost onto one point, yet the
-        # iteration leaves that unstable configuration and splits again
+        # the exact update moves the mirror pair straight to 5/12 and 7/12, the
+        # optimum of its split, instead of merging it; the pair stays split
         cfg = OptimizerConfig(init="explicit", positions=np.array([0.25, 0.75]))
         sol = optimize(uniform_field(), 2, PARAMS, cfg)
         assert sol.converged

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from backhaulopt.brute_force import naive_total_power
 from backhaulopt.density import DensityField, Domain
-from backhaulopt.discrete_placement import OptimizerConfig, optimize, voronoi_partition
+from backhaulopt.discrete_placement import (
+    OptimizerConfig,
+    optimize,
+    update_positions,
+    voronoi_partition,
+)
 from backhaulopt.power_model import (
     RadioParams,
     SingularGainError,
@@ -90,6 +95,48 @@ def test_optimize_keeps_its_station_sums_consistent(instance):
     # the sums and price the optimizer kept are those of its final partition
     assert_fields_equal(sol.traffic, station_traffic(sol.partition, d))
     assert_fields_equal(sol.report, total_power(sol.positions, sol.partition, d, params))
+
+
+def dense_position_solve(traffic, params, include_inter):
+    """The fixed-partition optimum of the loaded stations as the dense K x K
+    system M q = A s1, M = diag(A s0 + g m t) - g t t^T, g = 2 sigma2 / m."""
+    loaded = traffic.mass > 0
+    s0, s1, t = traffic.mass[loaded], traffic.first[loaded], traffic.per_station[loaded]
+    A = params.noise_power * params.shannon_factor
+    M = np.diag(A * s0)
+    if include_inter:
+        g = 2.0 * params.noise_power / traffic.total
+        M = M + np.diag(g * traffic.total * t) - g * np.outer(t, t)
+    return np.linalg.solve(M, A * s1)
+
+
+@SETTINGS
+@given(instances(), st.booleans(), st.one_of(st.none(), st.floats(0.1, 4.0)))
+def test_update_solves_the_fixed_partition_system(instance, include_inter, theta):
+    d, params, pos, _ = instance
+    if theta is not None:  # the link budget's throughput need not be the density's
+        params = RadioParams(params.noise_power, theta)
+    traffic = station_traffic(voronoi_partition(pos, d), d)
+    new = update_positions(pos, traffic, params, include_inter=include_inter)
+    loaded = traffic.mass > 0
+    np.testing.assert_array_equal(new[~loaded], pos[~loaded])
+    np.testing.assert_allclose(
+        new[loaded], dense_position_solve(traffic, params, include_inter), rtol=0, atol=1e-12
+    )
+
+
+@SETTINGS
+@given(instances())
+def test_converged_positions_are_the_update_fixed_point(instance):
+    d, params, pos, rng = instance
+    cfg = OptimizerConfig(init="jitter", seed=int(rng.integers(2**31)))
+    try:
+        sol = optimize(d, len(pos), params, cfg)
+    except SingularGainError:
+        assume(False)
+    assert sol.converged
+    again = update_positions(sol.positions, sol.traffic, params)
+    np.testing.assert_allclose(again, sol.positions, rtol=0, atol=1e-12)
 
 
 def dense_assignment(pos, d):
