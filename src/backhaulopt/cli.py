@@ -12,7 +12,6 @@ import json
 import math
 import operator
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ from .power_model import RadioParams
 __all__ = ["main"]
 
 MODES = ("discrete", "continuum", "closed_form", "compare")
+SCENARIO_KEYS = ("sigma2", "theta", "N", "density", "demand", "mode", "output_dir")
 
 # the reproduce-figures scenarios: throughputs from the reference
 # simulations, including 24 where the dilation is ~2.4e-7
@@ -45,6 +45,7 @@ def _fmt(value) -> str:
 def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -54,11 +55,20 @@ def _require(obj, key, context):
     return obj[key]
 
 
-def _number(obj, key, kind=float, default=None):
-    """A finite number from the scenario, converted by `kind`; required
-    unless a default is given. Counts use `operator.index`, which rejects
-    floats such as 2.5 or 1e308 instead of truncating them."""
-    value = _require(obj, key, "scenario") if default is None else obj.get(key, default)
+def _object(obj, context, keys):
+    """`obj` as a scenario object whose keys all lie in `keys`."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{context} must be an object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ScenarioError(f"unknown key {unknown[0]!r} in {context}; it takes {', '.join(keys)}")
+    return obj
+
+
+def _number(key, value, kind=float):
+    """A finite scenario number converted by `kind`. Counts use
+    `operator.index`, which rejects floats such as 2.5 or 1e308 instead
+    of truncating them."""
     try:
         value = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -68,39 +78,34 @@ def _number(obj, key, kind=float, default=None):
     return value
 
 
-def _finite_array(obj, key) -> np.ndarray:
-    values = np.asarray(obj[key], dtype=float)
-    if not np.isfinite(values).all():
-        raise ScenarioError(f"{key!r} must be finite")
-    return values
-
-
-def _parse_spec(obj, context) -> FunctionSpec:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{context} must be an object")
-    kind = _require(obj, "kind", context)
+def _parse_spec(obj, context, keys=("kind", "params")) -> FunctionSpec:
+    _object(obj, context, keys)
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioError(f"{context} params must be an object")
-    return FunctionSpec(str(kind), dict(params))
+    return FunctionSpec(str(_require(obj, "kind", context)), dict(params))
+
+
+def _parse_density(obj, context, grid=None):
+    """A density spec and the domain it carries."""
+    spec = _parse_spec(obj, context, ("kind", "params", "domain"))
+    return spec, _parse_domain(_require(obj, "domain", context), f"{context}.domain", grid)
 
 
 def _parse_domain(obj, context, grid=None) -> Domain:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{context} must be an object")
-    if "bounds" in obj:
-        bounds = [tuple(map(float, b)) for b in obj["bounds"]]
-        res = obj.get("resolution", 201)
-        res = tuple(int(r) for r in (res if isinstance(res, list) else [res] * len(bounds)))
-        if grid is not None:
-            res = tuple(int(grid) for _ in res)
-        if len(bounds) == 1:
-            return Domain.interval(*bounds[0], resolution=res[0])
-        return Domain.rectangle(bounds[0], bounds[1], resolution=res)
-    lo = float(_require(obj, "min", context))
-    hi = float(_require(obj, "max", context))
-    res = int(grid if grid is not None else obj.get("resolution", 2001))
-    return Domain.interval(lo, hi, resolution=res)
+    if isinstance(obj, dict) and "bounds" in obj:
+        _object(obj, context, ("bounds", "resolution"))
+        bounds = obj["bounds"]
+        if not isinstance(bounds, list) or len(bounds) != 2:
+            raise ScenarioError(
+                f"{context} bounds must hold two [lower, upper] pairs; give an interval as min and max"
+            )
+        res = obj.get("resolution", 201) if grid is None else grid
+        res = res if isinstance(res, list) else [res, res]
+        return Domain(tuple(map(tuple, bounds)), tuple(res))
+    _object(obj, context, ("min", "max", "resolution"))
+    res = obj.get("resolution", 2001) if grid is None else grid
+    return Domain.interval(_require(obj, "min", context), _require(obj, "max", context), res)
 
 
 def _build_field(scenario, grid) -> DensityField:
@@ -109,41 +114,25 @@ def _build_field(scenario, grid) -> DensityField:
     if has_density == has_demand:
         raise ScenarioError("scenario needs exactly one of 'density' or 'demand'")
     if has_density:
-        theta = _number(scenario, "theta")
-        if not theta > 0:
-            raise ScenarioError("theta must be positive")
-        block = scenario["density"]
-        spec = _parse_spec(block, "density")
-        domain = _parse_domain(_require(block, "domain", "density"), "density.domain", grid)
+        theta = _number("theta", _require(scenario, "theta", "scenario"))
+        spec, domain = _parse_density(scenario["density"], "density", grid)
         return DensityField.from_spec(spec, theta, domain)
     if "theta" in scenario:
         raise ScenarioError("'theta' is folded from 'demand'; specify only one")
-    block = scenario["demand"]
-    density_block = _require(block, "terminal_density", "demand")
-    domain = _parse_domain(
-        _require(density_block, "domain", "terminal_density"),
-        "terminal_density.domain",
-        grid,
-    )
-    demand = DemandField(
-        domain,
-        _parse_spec(density_block, "terminal_density"),
-        _parse_spec(_require(block, "throughput_demand", "demand"), "throughput_demand"),
-    )
-    return fold_demand(demand)
+    block = _object(scenario["demand"], "demand", ("terminal_density", "throughput_demand"))
+    spec, domain = _parse_density(_require(block, "terminal_density", "demand"), "terminal_density", grid)
+    demand = _parse_spec(_require(block, "throughput_demand", "demand"), "throughput_demand")
+    return fold_demand(DemandField(domain, spec, demand))
 
 
 def _parse_scenario(scenario, grid, seed):
-    if not isinstance(scenario, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    sigma2 = _number(scenario, "sigma2")
-    if not sigma2 > 0:
-        raise ScenarioError("sigma2 must be positive")
-    if "N" in scenario and _number(scenario, "N", int) < 0:
+    _object(scenario, "scenario", SCENARIO_KEYS)
+    sigma2 = _number("sigma2", _require(scenario, "sigma2", "scenario"))
+    if "N" in scenario and _number("N", scenario["N"], int) < 0:
         raise ScenarioError("N must be nonnegative")
 
-    mode = _require(scenario, "mode", "scenario")
-    if not isinstance(mode, dict) or len(mode) != 1 or next(iter(mode)) not in MODES:
+    mode = _object(_require(scenario, "mode", "scenario"), "mode", MODES)
+    if len(mode) != 1:
         raise ScenarioError(f"'mode' must contain exactly one of {MODES}")
 
     d = _build_field(scenario, grid)
@@ -156,20 +145,10 @@ def _parse_scenario(scenario, grid, seed):
     return d, params, mode_name, mode_cfg
 
 
-def _run_discrete(d, params, cfg_obj, outdir, quiet) -> int:
-    K = _number(cfg_obj, "K", operator.index)
-    options = {f.name: f.default for f in fields(OptimizerConfig)}
-    extra = set(cfg_obj) - set(options) - {"K"}
-    if extra:
-        raise ScenarioError(f"unknown discrete options: {sorted(extra)}")
-    kwargs = dict(options, **{k: v for k, v in cfg_obj.items() if k != "K"})
-    kwargs["max_iterations"] = _number(kwargs, "max_iterations", operator.index)
-    kwargs["position_tolerance"] = _number(kwargs, "position_tolerance")
-    if kwargs["positions"] is not None:
-        kwargs["positions"] = _finite_array(kwargs, "positions")
-    cfg = OptimizerConfig(**kwargs)
-
-    solution = optimize(d, K, params, cfg)
+def _run_discrete(d, params, outdir, quiet, K, **options) -> int:
+    """`options` are `OptimizerConfig`'s fields; it rejects any other key."""
+    K = _number("K", K, operator.index)
+    solution = optimize(d, K, params, OptimizerConfig(**options))
 
     pos = solution.positions
     report = solution.report
@@ -211,13 +190,11 @@ def _station_measure_csv(path: Path, nu: Measure1D) -> None:
     _write_csv(path, "y,v", zip(prob.grid, prob.values))
 
 
-def _run_continuum(d, params, cfg_obj, outdir, quiet) -> int:
-    tolerance = _number(cfg_obj, "tolerance", default=1e-8)
-    max_steps = _number(cfg_obj, "max_steps", operator.index, default=50)
-    if "nu0" in cfg_obj:
-        block = cfg_obj["nu0"]
-        spec = _parse_spec(block, "nu0")
-        domain = _parse_domain(_require(block, "domain", "nu0"), "nu0.domain")
+def _run_continuum(d, params, outdir, quiet, tolerance=1e-8, max_steps=50, nu0=None) -> int:
+    tolerance = _number("tolerance", tolerance)
+    max_steps = _number("max_steps", max_steps, operator.index)
+    if nu0 is not None:
+        spec, domain = _parse_density(nu0, "nu0")
         nu0 = Measure1D.from_density(DensityField.from_spec(spec, 1.0, domain), params.throughput)
     else:
         nu0 = Measure1D.from_density(d, params.throughput)
@@ -236,9 +213,7 @@ def _run_continuum(d, params, cfg_obj, outdir, quiet) -> int:
     return 0
 
 
-def _run_closed_form(d, params, cfg_obj, outdir, quiet) -> int:
-    if cfg_obj:
-        raise ScenarioError("mode.closed_form takes no options")
+def _run_closed_form(d, params, outdir, quiet) -> int:
     nu = optimal_station_density(d, params.throughput)
     _station_measure_csv(outdir / "bs_density.csv", nu)
     if not quiet:
@@ -246,18 +221,15 @@ def _run_closed_form(d, params, cfg_obj, outdir, quiet) -> int:
     return 0
 
 
-def _run_compare(d, params, cfg_obj, outdir, quiet) -> int:
-    Ks = _require(cfg_obj, "K", "mode.compare")
-    if not isinstance(Ks, list) or not Ks:
+def _run_compare(d, params, outdir, quiet, K, candidates=101) -> int:
+    if not isinstance(K, list) or not K:
         raise ScenarioError("mode.compare K must be a nonempty list")
-    if len(Ks) > MAX_STATIONS:
+    if len(K) > MAX_STATIONS:
         raise ScenarioError(f"at most {MAX_STATIONS} station counts per report")
-    Ks = [operator.index(K) for K in Ks]
-    if isinstance(cfg_obj.get("candidates"), list):
-        candidates = _finite_array(cfg_obj, "candidates")
-    else:
+    Ks = [operator.index(k) for k in K]
+    if not isinstance(candidates, list):  # a count; brute_force_optimize checks a list
         lo, hi = d.domain.bounds[0]
-        candidates = np.linspace(lo, hi, _number(cfg_obj, "candidates", operator.index, default=101))
+        candidates = np.linspace(lo, hi, _number("candidates", candidates, operator.index))
 
     # the closed form rejects an off-centre density; do so before the searches
     optimal_station_density(d, params.throughput)
@@ -309,7 +281,7 @@ def _figure_density(name: str, resolution: int) -> DensityField:
 
 
 def _reproduce_figures(outdir: Path, grid, quiet) -> int:
-    resolution = int(grid) if grid is not None else 2001
+    resolution = grid if grid is not None else 2001
     for name in ("fig1", "fig2"):
         d = _figure_density(name, resolution)
         a, b = d.domain.bounds[0]
@@ -366,15 +338,12 @@ def main(argv=None) -> int:
     # OSError is an output directory that cannot be made or written
     try:
         if args.command == "reproduce-figures":
-            outdir = Path(args.out)
-            outdir.mkdir(parents=True, exist_ok=True)
-            return _reproduce_figures(outdir, args.grid, args.quiet)
+            return _reproduce_figures(Path(args.out), args.grid, args.quiet)
         d, params, mode_name, mode_cfg = _parse_scenario(scenario, args.grid, args.seed)
         if args.command == "compare" and mode_name != "compare":
             raise ScenarioError("the compare command needs a scenario with a compare mode")
         outdir = Path(scenario.get("output_dir", "."))
-        outdir.mkdir(parents=True, exist_ok=True)
-        return _MODE_RUNNERS[mode_name](d, params, mode_cfg, outdir, args.quiet)
+        return _MODE_RUNNERS[mode_name](d, params, outdir, args.quiet, **mode_cfg)
     except (ValueError, TypeError, LookupError, ArithmeticError, OSError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 3

@@ -16,6 +16,7 @@ midpoints, and one rule covers 1D and 2D: the 1D Simpson rule
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +35,10 @@ __all__ = [
 
 #: Relative slack used when deciding whether a point sits inside a domain.
 CONTAINMENT_TOL = 1e-9
+
+#: Largest grid a Domain accepts, counted in Simpson points (2r - 1 per
+#: axis for r nodes): 2**21 of them are 16 MiB per float array.
+MAX_SIMPSON_POINTS = 2**21
 
 
 def _std_normal_pdf(z):
@@ -58,7 +63,10 @@ class Domain:
 
     def __post_init__(self):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        resolution = tuple(int(r) for r in self.resolution)
+        try:
+            resolution = tuple(operator.index(r) for r in self.resolution)
+        except TypeError as exc:
+            raise TypeError(f"resolution must be whole node counts: {exc}") from None
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "resolution", resolution)
         if not 1 <= len(bounds) <= 2:
@@ -73,6 +81,12 @@ class Domain:
         for r in resolution:
             if r < 2:
                 raise ValueError("resolution must be at least 2 nodes per axis")
+        points = math.prod(2 * r - 1 for r in resolution)
+        if points > MAX_SIMPSON_POINTS:
+            raise ValueError(
+                f"a {resolution} grid has {points} Simpson points, "
+                f"more than the limit of {MAX_SIMPSON_POINTS}"
+            )
 
     @staticmethod
     def interval(lower: float, upper: float, resolution: int = 2001) -> "Domain":
@@ -231,12 +245,13 @@ def spec_values(spec: FunctionSpec, domain: Domain, points: np.ndarray) -> np.nd
             raise ValueError("triangular parameters must satisfy a <= c <= b, a < b")
         x = coords[0]
         out = np.zeros_like(x)
+        # the rising branch, written last, owns the peak x = c unless c == a
+        if b > c:
+            falling = (x >= c) & (x <= b)
+            out[falling] = 2.0 * (b - x[falling]) / ((b - a) * (b - c))
         if c > a:
             rising = (x >= a) & (x <= c)
             out[rising] = 2.0 * (x[rising] - a) / ((b - a) * (c - a))
-        if b > c:
-            falling = (x > c) & (x <= b)
-            out[falling] = 2.0 * (b - x[falling]) / ((b - a) * (b - c))
     elif kind == "grid":
         out = _interp_grid(domain, np.asarray(p["values"], dtype=float), coords)
     elif kind == "constant":
@@ -341,6 +356,11 @@ class DensityField:
     node samples, and (when available) the closed form it came from.
     Instances are immutable by convention; all methods are read-only.
 
+    The constructor takes nonnegative samples at every Simpson point of
+    the grid (shape 2r - 1 per axis for r nodes), at any scale, and
+    normalizes them to unit Simpson mass; `from_spec` and `from_values`
+    produce those samples from a closed form or from node values.
+
     Attributes:
         domain: the gridded support.
         values: density samples at the grid nodes.
@@ -352,31 +372,28 @@ class DensityField:
     def __init__(
         self,
         domain: Domain,
-        values: np.ndarray,
+        samples: np.ndarray,
         throughput: float,
         analytic: Optional[FunctionSpec] = None,
-        *,
-        scale: float = 1.0,
-        stencil: Optional[np.ndarray] = None,
     ):
+        samples = np.asarray(samples, dtype=float)
+        shape = tuple(2 * r - 1 for r in domain.resolution)
+        if samples.shape != shape:
+            raise ValueError(f"density samples must have the Simpson-point shape {shape}")
+        if not samples.min() >= -1e-12:
+            raise ValueError("density values must be nonnegative")
+        mass = float(_simpson(samples, domain.spacings).sum())
+        if not 0 < mass < math.inf:
+            raise ValueError("density mass must be positive and finite")
         self.domain = domain
-        self.values = np.ascontiguousarray(values, dtype=float).reshape(domain.resolution)
         self.throughput = float(throughput)
-        self.analytic = analytic
-        self._scale = float(scale)
         if not self.throughput > 0:
             raise ValueError("throughput must be positive")
-        if stencil is None:
-            stencil = _node_stencil(domain, self.values)
-        self._stencil = stencil
-        if not stencil.min() >= -1e-12:
-            raise ValueError("density values must be nonnegative")
-        self._cell_mass = _simpson(stencil, domain.spacings)
-        mass = float(self._cell_mass.sum())
-        if not abs(mass - 1.0) <= 1e-9:
-            raise ValueError(
-                f"density must integrate to 1, got {mass!r}; normalize first"
-            )
+        self.analytic = analytic
+        self._scale = 1.0 / mass
+        self._stencil = self._scale * samples
+        self.values = np.ascontiguousarray(self._stencil[np.s_[::2,] * domain.ndim])
+        self._cell_mass = _simpson(self._stencil, domain.spacings)
         self._moment_cache: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------ build
@@ -399,30 +416,15 @@ class DensityField:
         if domain is None:
             domain = default_domain(spec, resolution)
         if spec.kind == "grid":
-            return DensityField.from_values(
-                domain, np.asarray(spec.params["values"], dtype=float), throughput
-            )
-        return DensityField._normalized(domain, _stencil(spec, domain), throughput, spec)
+            return DensityField.from_values(domain, spec.params["values"], throughput)
+        return DensityField(domain, _stencil(spec, domain), throughput, spec)
 
     @staticmethod
     def from_values(
         domain: Domain, values: np.ndarray, throughput: float = 1.0
     ) -> "DensityField":
         """Build a normalized field from raw node samples."""
-        return DensityField._normalized(domain, _node_stencil(domain, values), throughput)
-
-    @staticmethod
-    def _normalized(domain: Domain, stencil: np.ndarray, throughput, analytic=None) -> "DensityField":
-        """The field of Simpson-point samples scaled to unit Simpson mass."""
-        if not stencil.min() >= -1e-12:
-            raise ValueError("density values must be nonnegative")
-        mass = float(_simpson(stencil, domain.spacings).sum())
-        if not 0 < mass < math.inf:
-            raise ValueError("density mass must be positive and finite")
-        scale = 1.0 / mass
-        stencil = scale * stencil
-        nodes = stencil[np.s_[::2,] * domain.ndim]
-        return DensityField(domain, nodes, throughput, analytic, scale=scale, stencil=stencil)
+        return DensityField(domain, _node_stencil(domain, values), throughput)
 
     # ------------------------------------------------------------------- eval
 
@@ -562,12 +564,8 @@ def fold_demand(demand: DemandField) -> DensityField:
     if not throughput > 0:
         raise ValueError("demand is identically zero; nothing to serve")
     if demand.throughput_demand.kind == "constant":
-        scale, stencil, analytic = base._scale, base._stencil, base.analytic
-    else:  # `throughput` is the product's Simpson mass: normalize by it
-        scale, analytic = 1.0 / throughput, None
-        stencil = scale * product
-    nodes = stencil[np.s_[::2,] * demand.domain.ndim]
-    return DensityField(demand.domain, nodes, throughput, analytic, scale=scale, stencil=stencil)
+        return DensityField.from_spec(demand.terminal_density, throughput, demand.domain)
+    return DensityField(demand.domain, product, throughput)
 
 
 def expected_terminals(d: DensityField, region, total: float) -> float:

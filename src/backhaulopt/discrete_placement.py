@@ -16,6 +16,7 @@ monotone by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,6 +45,10 @@ __all__ = [
     "optimize",
 ]
 
+#: Largest station count `optimize` accepts; it bounds the K x K pair
+#: arrays of assignment and pricing (K x K x 2 floats are 16 MiB).
+MAX_STATION_COUNT = 1024
+
 
 @dataclass
 class OptimizerConfig:
@@ -66,12 +71,14 @@ class OptimizerConfig:
     include_inter: bool = True
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not self.position_tolerance > 0:
-            raise ValueError("position tolerance must be positive")
+        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 1):
+            raise ValueError("max_iterations must be a whole number, at least 1")
+        if not 0 < self.position_tolerance < math.inf:
+            raise ValueError("position tolerance must be positive and finite")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
+        if not isinstance(self.include_inter, bool):
+            raise ValueError("include_inter must be true or false")
         if self.init not in ("quantile", "jitter", "explicit"):
             raise ValueError(f"unknown init strategy {self.init!r}")
         if self.init == "explicit" and self.positions is None:
@@ -162,8 +169,8 @@ def initial_positions(
     d: DensityField, K: int, cfg: OptimizerConfig
 ) -> np.ndarray:
     """Starting station layout per the configured strategy."""
-    if K < 1:
-        raise ValueError("station count must be at least 1")
+    if not 1 <= K <= MAX_STATION_COUNT:
+        raise ValueError(f"station count must lie in [1, {MAX_STATION_COUNT}]")
     ndim = d.domain.ndim
     if cfg.init == "explicit":
         pos = _positions(cfg.positions, ndim)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
-from backhaulopt import cli
+from backhaulopt import DensityField, Domain, FunctionSpec, RadioParams, cli, optimize
 from backhaulopt.cli import main
 
 SQRT_2PI = 2.5066282746310002
@@ -113,6 +115,35 @@ class TestDiscreteMode:
             assert main(["run", scenario, "--seed", "9", "--quiet"]) == 0
         a, b = (out / "placement.csv" for out, _ in scenarios)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_planar_bounds_scenario(self, tmp_path):
+        params = {"mu": [0.4, 1.2], "sigma": [0.3, 0.5]}
+        base = {
+            "sigma2": 1.0,
+            "theta": 1.0,
+            "density": {
+                "kind": "normal",
+                "params": params,
+                "domain": {"bounds": [[0.0, 1.0], [0.0, 2.0]], "resolution": [21, 31]},
+            },
+            "mode": {"discrete": {"K": 3}},
+        }
+        # a per-axis resolution list, then --grid for both axes
+        for extra, resolution in (([], (21, 31)), (["--grid", "15"], (15, 15))):
+            out = tmp_path / f"grid{resolution[1]}"
+            scenario = write_scenario(tmp_path, dict(base, output_dir=str(out)))
+            assert main(["run", scenario, "--quiet", *extra]) == 0
+            assert read_header(out / "placement.csv") == "index,x,y,m_i,intra_i"
+            placement = load_csv(out / "placement.csv", cols=5)
+            trace = load_csv(out / "trace.csv", cols=2)
+            assert np.all(np.diff(trace[:, 1]) <= 1e-12)
+            d = DensityField.from_spec(
+                FunctionSpec("normal", params),
+                1.0,
+                Domain.rectangle((0.0, 1.0), (0.0, 2.0), resolution),
+            )
+            expected = optimize(d, 3, RadioParams(noise_power=1.0, throughput=1.0))
+            np.testing.assert_array_equal(placement[:, 1:3], expected.positions)
 
     def test_unknown_option_rejected(self, tmp_path):
         scenario = write_scenario(tmp_path, {
@@ -393,7 +424,9 @@ JUNK_KEYS = {
 
 @st.composite
 def junk_scenarios(draw):
-    """A small valid scenario with one scenario, density, domain or mode key set to junk."""
+    """A small valid scenario with one scenario, density, domain or mode key
+    set to junk, or with an unknown key added to one of those blocks.
+    Returns the scenario and the unknown key, or None."""
     mode = draw(st.sampled_from(sorted(JUNK_MODES)))
     scenario = {
         "sigma2": 1.0,
@@ -408,8 +441,12 @@ def junk_scenarios(draw):
         mode: scenario["mode"][mode],
     }
     block = draw(st.sampled_from(sorted(blocks)))
+    if draw(st.booleans()):
+        unknown = draw(st.text("abxyz_", min_size=1, max_size=4).map("unknown_{}".format))
+        blocks[block][unknown] = draw(JUNK)
+        return scenario, unknown
     blocks[block][draw(st.sampled_from(JUNK_KEYS[block]))] = draw(JUNK)
-    return scenario
+    return scenario, None
 
 
 class TestValidation:
@@ -452,12 +489,25 @@ class TestValidation:
             {"mode": {"discrete": {"K": 2, "init": "explicit", "positions": [math.nan, 0.5]}}},
             # finite inputs whose access power overflows
             {"sigma2": 1e308, "density": uniform_density(0.0, 100.0)},
+            # unknown keys, which used to be ignored
+            {"density": centered_density(), "mode": {"continuum": {"tolerence": 1e-3}}},
+            {"outputdir": "out"},
+            # counts and sizes: 2.9 nodes used to run on 2, and the caps
+            # reject before anything is allocated
+            {"density": uniform_density(resolution=2.9)},
+            {"density": uniform_density(resolution=10**12)},
+            {"mode": {"discrete": {"K": 1025}}},
+            # a planar domain's bounds hold exactly two pairs
+            {"density": dict(uniform_density(), domain={"bounds": [[0.0, 1.0]]})},
+            {"density": dict(uniform_density(), domain={"bounds": [[0.0, 1.0]] * 3})},
         ],
         ids=[
             "sigma2-list", "N-null", "sigma2-inf", "theta-inf",
             "tolerance-null", "max_steps-inf", "max_iterations-1e308", "resolution-inf",
             "output_dir-null", "theta-1e308", "candidates-inf", "tolerance-inf",
             "position_tolerance-inf", "positions-nan", "sigma2-1e308-overflow",
+            "tolerance-typo", "output_dir-typo", "resolution-2.9", "resolution-1e12",
+            "K-above-cap", "bounds-1d", "bounds-3d",
         ],
     )
     def test_bad_numbers_rejected(self, tmp_path, capsys, overrides):
@@ -490,21 +540,31 @@ class TestValidation:
             assert main(["run", write_scenario(tmp_path, obj), "--quiet"]) == 0
             rows[sigma2] = load_csv(tmp_path / str(sigma2) / "placement.csv")
         totals = {s: load_csv(tmp_path / str(s) / "trace.csv")[-1, 1] for s in rows}
-        np.testing.assert_allclose(np.sort(rows[1.0][:, 1]), positions, atol=1e-4)
+        np.testing.assert_allclose(np.sort(rows[1.0][:, 1]), positions, atol=2e-15)
         np.testing.assert_array_equal(rows[1e308][:, 1], rows[1.0][:, 1])
         assert totals[1e308] == pytest.approx(1e308 * totals[1.0], rel=1e-12)
 
     @settings(max_examples=150)
-    @given(scenario=junk_scenarios())
-    def test_junk_values_keep_the_exit_contract(self, tmp_path_factory, scenario):
+    @given(drawn=junk_scenarios())
+    def test_junk_values_keep_the_exit_contract(self, tmp_path_factory, drawn):
+        scenario, unknown = drawn
         workdir = tmp_path_factory.mktemp("junk")
         path = write_scenario(workdir, scenario)
         cwd = os.getcwd()
         os.chdir(workdir)  # a junk output_dir is a relative path
+        err = io.StringIO()
         try:
-            assert main(["run", path, "--quiet"]) in {0, 2, 3, 4}
+            with contextlib.redirect_stderr(err):
+                code = main(["run", path, "--quiet"])
         finally:
             os.chdir(cwd)
+        if unknown is None:
+            assert code in {0, 2, 3, 4}
+        else:
+            assert code == 3
+            assert repr(unknown) in err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            assert os.listdir(workdir) == ["scenario.json"]
 
     def test_negative_terminal_count(self, tmp_path):
         assert main(["run", write_scenario(tmp_path, self.base(tmp_path, N=-5))]) == 3

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import erf
 
 from backhaulopt.density import (
+    MAX_SIMPSON_POINTS,
     DemandField,
     DensityField,
     Domain,
@@ -51,6 +52,18 @@ class TestDomain:
     def test_resolution_minimum(self):
         with pytest.raises(ValueError):
             Domain.interval(0.0, 1.0, 1)
+        # counts only; 2.9 nodes is not rounded down to 2
+        with pytest.raises(TypeError):
+            Domain.interval(0.0, 1.0, 2.9)
+
+    def test_size_cap(self):
+        # the cap is checked before any grid is allocated
+        for resolution in ((10**12,), (1025, 1025)):
+            with pytest.raises(ValueError, match=str(MAX_SIMPSON_POINTS)):
+                Domain(((0.0, 1.0),) * len(resolution), resolution)
+        # the largest grids in use stay inside it
+        Domain.interval(0.0, 1.0, 200_001)
+        Domain.rectangle((0.0, 1.0), (0.0, 1.0), 401)
 
     def test_contains(self):
         dom = Domain.interval(0.0, 1.0, 11)
@@ -178,14 +191,15 @@ class TestIntegrate:
 
 class TestField:
     def test_negative_values_rejected(self):
+        # 5 nodes have 9 Simpson points, so only the values can be at fault
         dom = Domain.interval(0.0, 1.0, 5)
         with pytest.raises(ValueError):
-            DensityField(dom, np.array([1.0, -0.5, 1.0, 1.0, 1.0]), 1.0)
+            DensityField(dom, np.array([1.0, -0.5] + [1.0] * 7), 1.0)
         # NaN passes a `< 0` test and an infinite mass scales to NaN
         for bad in (np.nan, np.inf):
             for values in ([1.0, bad, 1.0, 1.0, 1.0], [bad] * 5):
                 with pytest.raises(ValueError):
-                    DensityField(dom, np.array(values), 1.0)
+                    DensityField(dom, np.array(values + [1.0] * 4), 1.0)
                 with pytest.raises(ValueError):
                     DensityField.from_values(dom, np.array(values))
 
@@ -193,10 +207,22 @@ class TestField:
         with pytest.raises(ValueError):
             DensityField.from_spec(FunctionSpec("uniform", {}), 0.0, Domain.interval(0, 1, 11))
 
-    def test_unnormalized_direct_construction_rejected(self):
-        dom = Domain.interval(0.0, 1.0, 11)
-        with pytest.raises(ValueError):
-            DensityField(dom, np.full(11, 3.0), 1.0)
+    def test_constructor_normalizes_samples(self):
+        dom = Domain.rectangle((0.0, 1.0), (0.0, 2.0), (5, 4))
+        samples = np.random.default_rng(7).uniform(0.1, 2.0, (9, 7))
+        d, scaled = DensityField(dom, samples, 1.0), DensityField(dom, 3.0 * samples, 1.0)
+        assert d.integrate() == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(scaled.values, d.values, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(scaled.cell_masses(), d.cell_masses(), rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(d.values, d._stencil[::2, ::2])
+
+    def test_wrongly_shaped_samples_rejected(self):
+        # node values in place of Simpson-point samples would integrate
+        # only part of the grid
+        dom = Domain.interval(0.0, 1.0, 5)
+        for shape in (5, 10, (9, 1)):
+            with pytest.raises(ValueError, match="Simpson-point shape"):
+                DensityField(dom, np.ones(shape), 1.0)
 
     def test_normalization_any_resolution(self):
         for res in (51, 1000, 2001):
@@ -219,6 +245,17 @@ class TestField:
             Domain.interval(0.0, 1.0, 2001),
         )
         assert d.centroid()[0] == pytest.approx(17.0 / 30.0, abs=1e-9)
+
+    def test_triangular_peak_at_an_end(self):
+        # with c == a the density 2 (1 - x) peaks at x = 0, a grid node;
+        # it is linear, so Simpson's rule integrates x f(x) = 1/3 exactly
+        d = DensityField.from_spec(
+            FunctionSpec("triangular", {"a": 0.0, "c": 0.0, "b": 1.0}),
+            1.0,
+            Domain.interval(0.0, 1.0, 2001),
+        )
+        assert d.values[0] == pytest.approx(2.0, rel=1e-12)
+        assert d.centroid()[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_quantiles(self):
         d = uniform_field()

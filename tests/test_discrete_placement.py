@@ -5,6 +5,7 @@ import pytest
 
 from backhaulopt.density import DensityField, Domain, FunctionSpec
 from backhaulopt.discrete_placement import (
+    MAX_STATION_COUNT,
     OptimizerConfig,
     initial_positions,
     optimize,
@@ -188,6 +189,14 @@ class TestConfig:
             OptimizerConfig(max_iterations=0)
         with pytest.raises(ValueError):
             OptimizerConfig(position_tolerance=0.0)
+        # counts are whole numbers, and an infinite tolerance would stop at once
+        with pytest.raises(ValueError):
+            OptimizerConfig(max_iterations=1e308)
+        with pytest.raises(ValueError):
+            OptimizerConfig(position_tolerance=float("inf"))
+        # a string such as "no" is truthy and would leave the backhaul on
+        with pytest.raises(ValueError):
+            OptimizerConfig(include_inter="no")
         with pytest.raises(ValueError):
             OptimizerConfig(damping=0.0)
         with pytest.raises(ValueError):
@@ -263,6 +272,10 @@ class TestOptimize:
     def test_station_count_validated(self):
         with pytest.raises(ValueError):
             optimize(uniform_field(101), 0, PARAMS)
+        # the cap bounds the K x K pair arrays; it is checked before any is made
+        with pytest.raises(ValueError, match=str(MAX_STATION_COUNT)):
+            optimize(uniform_field(101), MAX_STATION_COUNT + 1, PARAMS)
+        assert initial_positions(uniform_field(101), 256, OptimizerConfig()).shape == (256, 1)
 
     def test_2d_runs_and_descends(self):
         d = DensityField.from_spec(
