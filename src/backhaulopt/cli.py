@@ -12,11 +12,12 @@ import json
 import math
 import operator
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
-from .brute_force import MAX_STATIONS, brute_force_optimize, consistency_report
+from .brute_force import MAX_CANDIDATES, MAX_STATIONS, brute_force_optimize, consistency_report
 from .continuum import Measure1D, iterate_fixed_point, optimal_station_density
 from .density import DemandField, DensityField, Domain, FunctionSpec, fold_demand
 from .discrete_placement import OptimizerConfig, optimize
@@ -36,15 +37,13 @@ class ScenarioError(ValueError):
     """Scenario parsed but failed semantic validation."""
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """Write equal-length 1-D columns under `header`: integer columns as
+    integers, all others with 17 significant digits, so values parse
+    back exactly."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns)
+    lines = [header, *(row % values for values in zip(*(c.tolist() for c in columns)))]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -156,26 +155,13 @@ def _run_discrete(d, params, outdir, quiet, K, **options) -> int:
     _write_csv(
         outdir / "placement.csv",
         f"index,{coord_cols},m_i,intra_i",
-        (
-            (i, *pos[i], solution.traffic.per_station[i], report.intra_per_cell[i])
-            for i in range(K)
-        ),
+        np.arange(K), *pos.T, solution.traffic.per_station, report.intra_per_cell,
     )
-    _write_csv(
-        outdir / "pairs.csv",
-        "i,j,d_ij,P_ij",
-        (
-            (i, j, float(np.linalg.norm(pos[i] - pos[j])), report.inter_per_pair[i, j])
-            for i in range(K)
-            for j in range(K)
-            if i != j
-        ),
-    )
-    _write_csv(
-        outdir / "trace.csv",
-        "iter,total",
-        ((k, t) for k, t in enumerate(solution.trace)),
-    )
+    i, j = np.nonzero(~np.eye(K, dtype=bool))  # ordered pairs, row-major
+    d_ij = np.sqrt(np.sum((pos[i] - pos[j]) ** 2, axis=1))
+    _write_csv(outdir / "pairs.csv", "i,j,d_ij,P_ij", i, j, d_ij, report.inter_per_pair[i, j])
+    trace = solution.trace
+    _write_csv(outdir / "trace.csv", "iter,total", np.arange(len(trace)), trace)
     if not quiet:
         print(f"total power {report.total:.12g} after {solution.iterations} iterations")
         print(f"wrote placement.csv, pairs.csv, trace.csv to {outdir}")
@@ -187,7 +173,7 @@ def _run_discrete(d, params, outdir, quiet, K, **options) -> int:
 
 def _station_measure_csv(path: Path, nu: Measure1D) -> None:
     prob = nu.normalized()
-    _write_csv(path, "y,v", zip(prob.grid, prob.values))
+    _write_csv(path, "y,v", prob.grid, prob.values)
 
 
 def _run_continuum(d, params, outdir, quiet, tolerance=1e-8, max_steps=50, nu0=None) -> int:
@@ -228,8 +214,11 @@ def _run_compare(d, params, outdir, quiet, K, candidates=101) -> int:
         raise ScenarioError(f"at most {MAX_STATIONS} station counts per report")
     Ks = [operator.index(k) for k in K]
     if not isinstance(candidates, list):  # a count; brute_force_optimize checks a list
+        count = _number("candidates", candidates, operator.index)
+        if count > MAX_CANDIDATES:  # before np.linspace allocates them
+            raise ScenarioError(f"candidate grid limited to {MAX_CANDIDATES} points")
         lo, hi = d.domain.bounds[0]
-        candidates = np.linspace(lo, hi, _number("candidates", candidates, operator.index))
+        candidates = np.linspace(lo, hi, count)
 
     # the closed form rejects an off-centre density; do so before the searches
     optimal_station_density(d, params.throughput)
@@ -238,19 +227,15 @@ def _run_compare(d, params, outdir, quiet, K, candidates=101) -> int:
     _write_csv(
         outdir / "consistency.csv",
         "K,theta,discrete_spread,continuum_spread,ratio,f_spread,lambda",
-        (
-            (r.K, r.theta, r.discrete_spread, r.continuum_spread, r.ratio, r.f_spread, r.dilation)
-            for r in rows
-        ),
+        *zip(*map(astuple, rows)),  # the report's fields, in header order
     )
     _write_csv(
         outdir / "placement.csv",
         "K,index,x,m_i",
-        (
-            (K, i, x, m_i)
-            for K, best in zip(Ks, searches)
-            for i, (x, m_i) in enumerate(zip(best.positions, best.traffic))
-        ),
+        np.repeat(Ks, Ks),
+        np.concatenate([np.arange(K) for K in Ks]),
+        np.concatenate([best.positions for best in searches]),
+        np.concatenate([best.traffic for best in searches]),
     )
     if not quiet:
         for r in rows:
@@ -288,11 +273,9 @@ def _reproduce_figures(outdir: Path, grid, quiet) -> int:
         for theta in FIGURE_THETAS:
             nu = optimal_station_density(d, theta)
             y = nu.grid
-            inside = (y >= a) & (y <= b)
-            f_vals = np.zeros_like(y)
-            f_vals[inside] = d.eval(np.clip(y[inside], a, b))
+            f_vals = np.where((y >= a) & (y <= b), d.eval(np.clip(y, a, b)), 0.0)
             label = f"{name}_theta{theta:g}"
-            _write_csv(outdir / f"{label}_f.csv", "y,f", zip(y, f_vals))
+            _write_csv(outdir / f"{label}_f.csv", "y,f", y, f_vals)
             _station_measure_csv(outdir / f"{label}_v.csv", nu)
             if not quiet:
                 print(f"wrote {label}_f.csv, {label}_v.csv")

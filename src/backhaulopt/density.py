@@ -168,6 +168,7 @@ class FunctionSpec:
     ``triangular`` with ``a``, ``c``, ``b`` (1D only); ``grid`` with raw
     ``values`` on the domain nodes. Demand functions may additionally use
     ``constant`` (``value``) and ``affine`` (``slope``, ``intercept``).
+    An unknown kind or parameter name raises ValueError.
 
     Keeping functions as tags plus parameters, rather than arbitrary
     callables, lets verification code integrate them independently.
@@ -176,8 +177,28 @@ class FunctionSpec:
     kind: str
     params: dict
 
+    # every kind and the parameter names it reads
+    PARAMS = {
+        "uniform": (),
+        "normal": ("mu", "sigma"),
+        "truncated_normal": ("mu", "sigma", "a", "b"),
+        "triangular": ("a", "c", "b"),
+        "grid": ("values",),
+        "constant": ("value",),
+        "affine": ("slope", "intercept"),
+    }
     DENSITY_KINDS = ("uniform", "normal", "truncated_normal", "triangular", "grid")
-    DEMAND_KINDS = DENSITY_KINDS + ("constant", "affine")
+
+    def __post_init__(self):
+        if self.kind not in self.PARAMS:
+            raise ValueError(f"unknown function kind {self.kind!r}")
+        names = self.PARAMS[self.kind]
+        unknown = sorted(set(self.params) - set(names))
+        if unknown:
+            takes = ", ".join(names) or "no parameters"
+            raise ValueError(
+                f"unknown parameter {unknown[0]!r} for kind {self.kind!r}; it takes {takes}"
+            )
 
 
 def _per_axis(value, ndim: int, name: str) -> np.ndarray:
@@ -261,8 +282,6 @@ def spec_values(spec: FunctionSpec, domain: Domain, points: np.ndarray) -> np.nd
         out = np.full(coords[0].shape, float(p.get("intercept", 0.0)))
         for k in range(domain.ndim):
             out = out + slope[k] * coords[k]
-    else:
-        raise ValueError(f"unknown function kind {kind!r}")
     return out.reshape(out_shape)
 
 
@@ -537,10 +556,6 @@ class DemandField:
         if self.terminal_density.kind not in FunctionSpec.DENSITY_KINDS:
             raise ValueError(
                 f"{self.terminal_density.kind!r} is not a density kind"
-            )
-        if self.throughput_demand.kind not in FunctionSpec.DEMAND_KINDS:
-            raise ValueError(
-                f"{self.throughput_demand.kind!r} is not a demand kind"
             )
 
 

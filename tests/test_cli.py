@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
-from backhaulopt import DensityField, Domain, FunctionSpec, RadioParams, cli, optimize
+from backhaulopt import (
+    DensityField, Domain, FunctionSpec, OptimizerConfig, RadioParams, cli, optimize,
+)
 from backhaulopt.cli import main
 
 SQRT_2PI = 2.5066282746310002
@@ -144,6 +146,65 @@ class TestDiscreteMode:
             )
             expected = optimize(d, 3, RadioParams(noise_power=1.0, throughput=1.0))
             np.testing.assert_array_equal(placement[:, 1:3], expected.positions)
+
+    @pytest.mark.parametrize(
+        "density, domain, K",
+        [
+            (centered_density(401), Domain.interval(-1.0, 1.0, 401), 5),
+            (
+                {
+                    "kind": "normal",
+                    "params": {"mu": [0.4, 1.2], "sigma": [0.3, 0.5]},
+                    "domain": {"bounds": [[0.0, 1.0], [0.0, 2.0]], "resolution": [21, 31]},
+                },
+                Domain.rectangle((0.0, 1.0), (0.0, 2.0), (21, 31)),
+                6,
+            ),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_csv_values_parse_back_exactly(self, tmp_path, density, domain, K):
+        out = tmp_path / "out"
+        scenario = write_scenario(tmp_path, {
+            "sigma2": 1.0,
+            "theta": 1.0,
+            "density": density,
+            "mode": {"discrete": {"K": K, "init": "jitter", "seed": 2}},
+            "output_dir": str(out),
+        })
+        assert main(["run", scenario, "--quiet"]) == 0
+        d = DensityField.from_spec(FunctionSpec(density["kind"], density["params"]), 1.0, domain)
+        params = RadioParams(noise_power=1.0, throughput=1.0)
+        sol = optimize(d, K, params, OptimizerConfig(init="jitter", seed=2))
+
+        def rows(name):
+            return [line.split(",") for line in (out / name).read_text(encoding="utf-8").splitlines()[1:]]
+
+        def index(text):  # integer text, not a float such as "1.0" or "1e0"
+            assert text.isdigit()
+            return int(text)
+
+        pos = sol.positions
+        placement = rows("placement.csv")
+        assert [index(r[0]) for r in placement] == list(range(K))
+        for i, r in enumerate(placement):
+            assert [float(v) for v in r[1:]] == [
+                *pos[i], sol.traffic.per_station[i], sol.report.intra_per_cell[i],
+            ]
+
+        pairs = rows("pairs.csv")
+        # ordered pairs i != j, row-major
+        assert [(index(r[0]), index(r[1])) for r in pairs] == [
+            (i, j) for i in range(K) for j in range(K) if i != j
+        ]
+        for r in pairs:
+            i, j = int(r[0]), int(r[1])
+            assert float(r[2]) == np.sqrt(np.sum((pos[i] - pos[j]) ** 2))
+            assert float(r[3]) == sol.report.inter_per_pair[i, j]
+
+        trace = rows("trace.csv")
+        assert [index(r[0]) for r in trace] == list(range(len(sol.trace)))
+        assert [float(r[1]) for r in trace] == list(sol.trace)
 
     def test_unknown_option_rejected(self, tmp_path):
         scenario = write_scenario(tmp_path, {
@@ -449,6 +510,10 @@ def junk_scenarios(draw):
     return scenario, None
 
 
+# an override that removes its key from the base scenario
+ABSENT = object()
+
+
 class TestValidation:
     def base(self, tmp_path, **overrides):
         obj = {
@@ -459,7 +524,7 @@ class TestValidation:
             "output_dir": str(tmp_path / "out"),
         }
         obj.update(overrides)
-        return obj
+        return {key: value for key, value in obj.items() if value is not ABSENT}
 
     def test_missing_sigma2(self, tmp_path, capsys):
         obj = self.base(tmp_path)
@@ -500,6 +565,21 @@ class TestValidation:
             # a planar domain's bounds hold exactly two pairs
             {"density": dict(uniform_density(), domain={"bounds": [[0.0, 1.0]]})},
             {"density": dict(uniform_density(), domain={"bounds": [[0.0, 1.0]] * 3})},
+            # misspelled function parameters, which used to be ignored
+            {
+                "theta": ABSENT,
+                "density": ABSENT,
+                "demand": {
+                    "terminal_density": uniform_density(),
+                    "throughput_demand": {"kind": "affine", "params": {"slope": 1.0, "intercep": 5.0}},
+                },
+            },
+            {"density": dict(centered_density(), kind="normal", params={"mu": 0.0, "sigma": 1.0, "sigmaa": 2.0})},
+            # candidate counts above the cap, rejected before np.linspace allocates them
+            {"density": centered_density(), "mode": {"compare": {"K": [1], "candidates": 402}}},
+            {"density": centered_density(), "mode": {"compare": {"K": [1], "candidates": 10**12}}},
+            # a seed np.random.default_rng would refuse, also when init does not read it
+            {"mode": {"discrete": {"K": 2, "seed": "abc"}}},
         ],
         ids=[
             "sigma2-list", "N-null", "sigma2-inf", "theta-inf",
@@ -507,14 +587,17 @@ class TestValidation:
             "output_dir-null", "theta-1e308", "candidates-inf", "tolerance-inf",
             "position_tolerance-inf", "positions-nan", "sigma2-1e308-overflow",
             "tolerance-typo", "output_dir-typo", "resolution-2.9", "resolution-1e12",
-            "K-above-cap", "bounds-1d", "bounds-3d",
+            "K-above-cap", "bounds-1d", "bounds-3d", "intercept-typo", "sigma-typo",
+            "candidates-402", "candidates-1e12", "seed-string",
         ],
     )
     def test_bad_numbers_rejected(self, tmp_path, capsys, overrides):
         assert main(["run", write_scenario(tmp_path, self.base(tmp_path, **overrides))]) == 3
-        assert "Traceback" not in capsys.readouterr().err
-        assert not (tmp_path / "out" / "placement.csv").exists()
-        assert not (tmp_path / "out" / "bs_density.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario: ")
+        assert "Traceback" not in err
+        # no output of any mode, not even its directory
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "overrides, positions",

@@ -205,6 +205,11 @@ class TestConfig:
             OptimizerConfig(init="random")
         with pytest.raises(ValueError):
             OptimizerConfig(init="explicit")
+        # np.random.default_rng takes whole numbers >= 0; the seed is checked
+        # also when init does not read it
+        for seed in ("abc", -1, 1.5):
+            with pytest.raises(ValueError):
+                OptimizerConfig(seed=seed)
 
 
 class TestOptimize:
