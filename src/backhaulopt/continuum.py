@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .density import DensityField, _cdf_quantiles, _midpoint_levels
+from .density import DensityField, _cdf_quantiles, _midpoint_levels, _node_simpson
 from .power_model import RadioParams
 
 __all__ = [
@@ -141,10 +140,10 @@ class Measure1D:
             raise ValueError("measure densities must be finite and nonnegative")
         self.grid = grid
         self.values = np.maximum(values, 0.0)
-        self.total_mass = float(simpson(self.values, x=grid))
+        self.total_mass = _node_simpson(self.values, grid)
         if not 0 < self.total_mass < math.inf:
             raise ValueError("measure mass must be positive and finite")
-        self.barycenter = float(simpson(self.values * grid, x=grid)) / self.total_mass
+        self.barycenter = _node_simpson(self.values * grid, grid) / self.total_mass
 
     @staticmethod
     def from_density(d: DensityField, mass: float) -> "Measure1D":
@@ -162,7 +161,7 @@ class Measure1D:
 
     def spread(self) -> float:
         """Standard deviation about the barycenter."""
-        second = float(simpson(self.values * self.grid**2, x=self.grid))
+        second = _node_simpson(self.values * self.grid**2, self.grid)
         var = second / self.total_mass - self.barycenter**2
         return math.sqrt(max(var, 0.0))
 

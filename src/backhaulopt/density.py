@@ -6,7 +6,7 @@ a throughput demand. A location-dependent demand is folded into the
 density (`fold_demand`) so that every downstream computation can assume a
 single constant per-unit-mass throughput.
 
-All integrals are composite Simpson sums with one panel per grid cell,
+Density integrals are composite Simpson sums with one panel per grid cell,
 which makes integrals over unions of grid cells exactly additive. The
 samples live on the refined grid, grid nodes interleaved with cell
 midpoints, and one rule covers 1D and 2D: the 1D Simpson rule
@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
-from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "Domain",
@@ -45,8 +43,8 @@ def _std_normal_pdf(z):
     return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
 
 
-def _std_normal_cdf(z):
-    return 0.5 * (1.0 + special.erf(np.asarray(z, dtype=float) / math.sqrt(2.0)))
+def _std_normal_cdf(z: float) -> float:
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -287,9 +285,33 @@ def spec_values(spec: FunctionSpec, domain: Domain, points: np.ndarray) -> np.nd
 
 def _cdf_quantiles(grid: np.ndarray, values: np.ndarray, levels) -> np.ndarray:
     """Points where the normalized trapezoid CDF of samples reaches each level."""
-    cdf = cumulative_trapezoid(values, grid, initial=0.0)
-    cdf /= cdf[-1]
+    cdf = np.cumsum(np.diff(grid) * (values[1:] + values[:-1]) / 2.0)
+    cdf = np.concatenate([[0.0], cdf / cdf[-1]])
     return np.interp(np.asarray(levels, dtype=float), cdf, grid)
+
+
+def _node_simpson(f: np.ndarray, x: np.ndarray) -> float:
+    """Simpson integral of node samples `f` over a strictly increasing grid `x` of 3+ nodes.
+
+    Pairs of cells form unequal-spacing Simpson panels; an odd last cell
+    gets Cartwright's parabola through the last three nodes."""
+    h = np.diff(x)
+    m = len(h) - len(h) % 2
+    h0, h1 = h[0:m:2], h[1:m:2]
+    hsum, ratio = h0 + h1, h0 / h1
+    total = np.sum(hsum / 6.0 * (
+        f[0:m:2] * (2.0 - 1.0 / ratio)
+        + f[1:m:2] * (hsum * (hsum / (h0 * h1)))
+        + f[2 : m + 1 : 2] * (2.0 - ratio)
+    ))
+    if m < len(h):
+        a, b = h[-2:-1], h[-1:]  # arrays: numpy's array power can round b**3 unlike its scalar one
+        total += (
+            (2 * b**2 + 3 * a * b) / (6 * (b + a)) * f[-1]
+            + (b**2 + 3.0 * a * b) / (6 * a) * f[-2]
+            - b**3 / (6 * a * (a + b)) * f[-3]
+        )[0]
+    return float(total)
 
 
 def _midpoint_levels(n: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .density import DensityField, _cdf_quantiles, _midpoint_levels
 from .power_model import (
@@ -56,7 +55,7 @@ class OptimizerConfig:
 
     `init` picks the starting layout: "quantile" places stations at
     equal-mass quantiles of the density, "jitter" adds a small seeded
-    perturbation to those, "explicit" uses `positions` as given.
+    perturbation to those, "explicit" starts from `positions`, in the domain.
     `include_inter` is a diagnostic switch; with it off the optimizer
     runs the pure quantizer (Lloyd) dynamics and the trace tracks the
     access power only.
@@ -83,8 +82,8 @@ class OptimizerConfig:
             raise ValueError("include_inter must be true or false")
         if self.init not in ("quantile", "jitter", "explicit"):
             raise ValueError(f"unknown init strategy {self.init!r}")
-        if self.init == "explicit" and self.positions is None:
-            raise ValueError("explicit init needs positions")
+        if (self.positions is None) == (self.init == "explicit"):
+            raise ValueError('positions are read only by init "explicit", which needs them')
 
 
 @dataclass
@@ -178,6 +177,8 @@ def initial_positions(
         pos = _positions(cfg.positions, ndim)
         if pos.shape != (K, ndim):
             raise ValueError(f"explicit positions must have shape ({K}, {ndim})")
+        if not d.domain.contains(pos).all():
+            raise ValueError("explicit positions must lie inside the domain")
         return pos.copy()
 
     if ndim == 1:
@@ -201,8 +202,11 @@ def _product_quantiles(d: DensityField, K: int) -> np.ndarray:
     kx = max(int(round(math.sqrt(K))), 1)
     ky = math.ceil(K / kx)
     xg, yg = d.domain.axes
-    qx = _cdf_quantiles(xg, trapezoid(d.values, yg, axis=1), _midpoint_levels(kx))
-    qy = _cdf_quantiles(yg, trapezoid(d.values, xg, axis=0), _midpoint_levels(ky))
+    v = d.values  # trapezoid marginals: y integrated out for qx, x for qy
+    mx = (np.diff(yg) * (v[:, 1:] + v[:, :-1]) / 2.0).sum(axis=1)
+    my = (np.diff(xg)[:, None] * (v[1:] + v[:-1]) / 2.0).sum(axis=0)
+    qx = _cdf_quantiles(xg, mx, _midpoint_levels(kx))
+    qy = _cdf_quantiles(yg, my, _midpoint_levels(ky))
     grid = [(x, y) for x in qx for y in qy]
     return np.asarray(grid[:K], dtype=float)
 

@@ -3,6 +3,9 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -580,6 +583,10 @@ class TestValidation:
             {"density": centered_density(), "mode": {"compare": {"K": [1], "candidates": 10**12}}},
             # a seed np.random.default_rng would refuse, also when init does not read it
             {"mode": {"discrete": {"K": 2, "seed": "abc"}}},
+            # positions without the explicit init, which used to be ignored, and an
+            # explicit start outside the domain, which used to leave a station idle
+            {"mode": {"discrete": {"K": 2, "positions": [0.1, 0.2]}}},
+            {"mode": {"discrete": {"K": 2, "init": "explicit", "positions": [5.0, 7.0]}}},
         ],
         ids=[
             "sigma2-list", "N-null", "sigma2-inf", "theta-inf",
@@ -589,6 +596,7 @@ class TestValidation:
             "tolerance-typo", "output_dir-typo", "resolution-2.9", "resolution-1e12",
             "K-above-cap", "bounds-1d", "bounds-3d", "intercept-typo", "sigma-typo",
             "candidates-402", "candidates-1e12", "seed-string",
+            "positions-without-explicit", "positions-outside-domain",
         ],
     )
     def test_bad_numbers_rejected(self, tmp_path, capsys, overrides):
@@ -732,3 +740,51 @@ class TestReproduceFigures:
         v = load_csv(out / "fig1_theta24_v.csv", cols=2)
         np.testing.assert_allclose(f[:, 0], v[:, 0], atol=1e-12)
         assert np.max(np.abs(f[:, 1] - v[:, 1])) < 1e-6
+
+
+class TestWithoutScipy:
+    # numpy is the only runtime dependency; the tests use scipy only as a reference
+    SCRIPT = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy or a submodule now fails\n"
+        "from backhaulopt.cli import main\n"
+        "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n"
+    )
+
+    def test_every_mode_runs_with_scipy_blocked(self, tmp_path):
+        planar = {
+            "kind": "normal",
+            "params": {"mu": [0.4, 1.2], "sigma": [0.3, 0.5]},
+            "domain": {"bounds": [[0.0, 1.0], [0.0, 2.0]], "resolution": [21, 31]},
+        }
+        scenarios = {
+            "discrete-2d": (planar, {"discrete": {"K": 5}}),
+            # an even node count takes the odd-cell branch of the node Simpson rule
+            "continuum": (
+                {"kind": "normal", "params": {"mu": 0.0, "sigma": 1.0},
+                 "domain": {"min": -8.0, "max": 8.0, "resolution": 400}},
+                {"continuum": {}},
+            ),
+            "compare": (centered_density(), {"compare": {"K": [1, 2], "candidates": 41}}),
+        }
+        argvs = []
+        for name, (density, mode) in scenarios.items():
+            obj = {"sigma2": 1.0, "theta": 1.0, "density": density, "mode": mode,
+                   "output_dir": str(tmp_path / name)}
+            command = "compare" if name == "compare" else "run"
+            argvs.append([command, write_scenario(tmp_path, obj, f"{name}.json"), "--quiet"])
+        for grid in ("100", "2001"):
+            argvs.append(["reproduce-figures", "--out", str(tmp_path / f"fig{grid}"),
+                          "--grid", grid, "--quiet"])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        for name in scenarios:
+            assert any((tmp_path / name).iterdir())
+        assert len(list((tmp_path / "fig100").iterdir())) == 12

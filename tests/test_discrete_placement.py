@@ -182,6 +182,22 @@ class TestInitialPositions:
         with pytest.raises(ValueError):
             initial_positions(d, 2, cfg)
 
+    def test_explicit_outside_domain_rejected(self):
+        # a station started off the domain would keep no cells and no traffic
+        d = uniform_field()
+        for outside in ([5.0, 7.0], [0.5, 1.01], [-0.01, 0.5]):
+            with pytest.raises(ValueError, match="inside the domain"):
+                initial_positions(d, 2, OptimizerConfig(init="explicit", positions=outside))
+        plane = DensityField.from_spec(
+            FunctionSpec("uniform", {}), 1.0, Domain.rectangle((0.0, 2.0), (0.0, 1.0), (21, 21))
+        )
+        cfg = OptimizerConfig(init="explicit", positions=[[0.5, 0.5], [1.5, 1.5]])
+        with pytest.raises(ValueError, match="inside the domain"):
+            initial_positions(plane, 2, cfg)
+        # the domain's edges belong to it, as in brute_force_optimize's candidate check
+        edges = OptimizerConfig(init="explicit", positions=[0.0, 1.0])
+        np.testing.assert_array_equal(initial_positions(d, 2, edges).ravel(), [0.0, 1.0])
+
 
 class TestConfig:
     def test_validation(self):
@@ -205,6 +221,10 @@ class TestConfig:
             OptimizerConfig(init="random")
         with pytest.raises(ValueError):
             OptimizerConfig(init="explicit")
+        # positions are only read by the explicit init, so they are refused elsewhere
+        for init in ("quantile", "jitter"):
+            with pytest.raises(ValueError):
+                OptimizerConfig(init=init, positions=np.array([0.1, 0.2]))
         # np.random.default_rng takes whole numbers >= 0; the seed is checked
         # also when init does not read it
         for seed in ("abc", -1, 1.5):
