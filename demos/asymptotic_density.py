@@ -36,11 +36,11 @@ print("\nterminals on [-1, 1], theta = 1:")
 print(f"  station density support [{nu.grid[0]:.1f}, {nu.grid[-1]:.1f}]")
 print(f"  station spread / terminal spread = {nu.spread() / f.spread():.6f}")
 
-# the convergence check compares consecutive iterates in sup norm, so
-# the iteration showcase uses gaussian terminals: at the jump edge of a
-# compact-support density the metric reads the full jump height as soon
-# as two supports disagree by one ulp, which pins the reported change
-# at the edge value no matter how close the interiors are
+# the iteration converges for the truncated normal above too, because
+# its stop test is the L1 change between iterates; the showcase uses
+# gaussian terminals because it reports the gap to the closed form in
+# sup norm, and at the jump edge of a compact support that metric reads
+# the full jump height as soon as two supports disagree by one ulp
 g = DensityField.from_spec(FunctionSpec("normal", {"mu": 0.0, "sigma": 1.0}), 1.0)
 target = optimal_station_density(g, 1.0)
 params = RadioParams(noise_power=1.0, throughput=1.0)

@@ -67,7 +67,9 @@ def _object(obj, context, keys):
 def _number(key, value, kind=float):
     """A finite scenario number converted by `kind`. Counts use
     `operator.index`, which rejects floats such as 2.5 or 1e308 instead
-    of truncating them."""
+    of truncating them. No kind takes a JSON boolean."""
+    if isinstance(value, bool):
+        raise ScenarioError(f"{key!r} must be a number, not a boolean")
     try:
         value = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -212,7 +214,7 @@ def _run_compare(d, params, outdir, quiet, K, candidates=101) -> int:
         raise ScenarioError("mode.compare K must be a nonempty list")
     if len(K) > MAX_STATIONS:
         raise ScenarioError(f"at most {MAX_STATIONS} station counts per report")
-    Ks = [operator.index(k) for k in K]
+    Ks = [_number("K", k, operator.index) for k in K]
     if not isinstance(candidates, list):  # a count; brute_force_optimize checks a list
         count = _number("candidates", candidates, operator.index)
         if count > MAX_CANDIDATES:  # before np.linspace allocates them

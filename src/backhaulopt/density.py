@@ -290,30 +290,6 @@ def _cdf_quantiles(grid: np.ndarray, values: np.ndarray, levels) -> np.ndarray:
     return np.interp(np.asarray(levels, dtype=float), cdf, grid)
 
 
-def _node_simpson(f: np.ndarray, x: np.ndarray) -> float:
-    """Simpson integral of node samples `f` over a strictly increasing grid `x` of 3+ nodes.
-
-    Pairs of cells form unequal-spacing Simpson panels; an odd last cell
-    gets Cartwright's parabola through the last three nodes."""
-    h = np.diff(x)
-    m = len(h) - len(h) % 2
-    h0, h1 = h[0:m:2], h[1:m:2]
-    hsum, ratio = h0 + h1, h0 / h1
-    total = np.sum(hsum / 6.0 * (
-        f[0:m:2] * (2.0 - 1.0 / ratio)
-        + f[1:m:2] * (hsum * (hsum / (h0 * h1)))
-        + f[2 : m + 1 : 2] * (2.0 - ratio)
-    ))
-    if m < len(h):
-        a, b = h[-2:-1], h[-1:]  # arrays: numpy's array power can round b**3 unlike its scalar one
-        total += (
-            (2 * b**2 + 3 * a * b) / (6 * (b + a)) * f[-1]
-            + (b**2 + 3.0 * a * b) / (6 * a) * f[-2]
-            - b**3 / (6 * a * (a + b)) * f[-3]
-        )[0]
-    return float(total)
-
-
 def _midpoint_levels(n: int) -> np.ndarray:
     """Levels (2i - 1) / (2n), i = 1..n: the centers of n equal-mass slices."""
     return (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)

@@ -70,10 +70,10 @@ class OptimizerConfig:
     include_inter: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 1):
-            raise ValueError("max_iterations must be a whole number, at least 1")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError("seed must be a whole number, at least 0")
+        for name, least in (("max_iterations", 1), ("seed", 0)):
+            value = getattr(self, name)  # a bool is an Integral, but not a count
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be a whole number, at least {least}")
         if not 0 < self.position_tolerance < math.inf:
             raise ValueError("position tolerance must be positive and finite")
         if not 0.0 < self.damping <= 1.0:

@@ -254,6 +254,88 @@ class TestContinuumModes:
         np.testing.assert_allclose(outs["continuum"][:, 0], outs["closed_form"][:, 0], atol=1e-12)
         np.testing.assert_allclose(outs["continuum"][:, 1], outs["closed_form"][:, 1], atol=1e-9)
 
+    @pytest.mark.parametrize("resolution", [400, 401, 2000, 2001])
+    @pytest.mark.parametrize("kind", ["truncated_normal", "uniform", "triangular"])
+    def test_converges_at_every_node_count(self, tmp_path, kind, resolution):
+        # even node counts, jump edges and a kink between nodes: station
+        # measures must carry the exact traffic and the stop test must not
+        # read an ulp shift of a jump edge as the full edge height
+        density = {
+            "truncated_normal": centered_density(resolution),
+            "uniform": uniform_density(-1.0, 1.0, resolution),
+            "triangular": {
+                "kind": "triangular",
+                "params": {"a": 0.0, "c": 0.3, "b": 1.0},
+                "domain": {"min": 0.0, "max": 1.0, "resolution": resolution},
+            },
+        }[kind]
+        modes = ("continuum",) if kind == "triangular" else ("continuum", "closed_form")
+        outs = {}
+        for mode in modes:
+            out = tmp_path / mode
+            scenario = write_scenario(tmp_path, {
+                "sigma2": 1.0,
+                "theta": 1.0,
+                "density": density,
+                "mode": {mode: {}},
+                "output_dir": str(out),
+            }, name=f"{mode}.json")
+            assert main(["run", scenario, "--quiet"]) == 0, mode
+            outs[mode] = load_csv(out / "bs_density.csv", cols=2)
+        if "closed_form" in outs:
+            np.testing.assert_allclose(outs["continuum"][:, 0], outs["closed_form"][:, 0], atol=1e-12)
+            np.testing.assert_allclose(outs["continuum"][:, 1], outs["closed_form"][:, 1], atol=1e-9)
+
+    @pytest.mark.parametrize("resolution", [400, 401])
+    def test_converges_with_a_varying_demand(self, tmp_path, resolution):
+        # a folded density keeps the product samples at the cell midpoints,
+        # which the node interpolant misses by h^2; the station measure must
+        # carry the traffic from the samples. The terminal density is
+        # phi(x) (x/2 + 1) / Z on [-1, 1], so theta = 1, the dilation is 5
+        # and the barycenter is (1 - 2 phi(1) / Z) / 2
+        scenario = write_scenario(tmp_path, {
+            "sigma2": 1.0,
+            "demand": {
+                "terminal_density": centered_density(resolution),
+                "throughput_demand": {"kind": "affine", "params": {"slope": 0.5, "intercept": 1.0}},
+            },
+            "mode": {"continuum": {}},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["run", scenario, "--quiet"]) == 0
+        y, v = load_csv(tmp_path / "out" / "bs_density.csv", cols=2).T
+        x = np.linspace(-1.0, 1.0, resolution)
+        z = math.erf(1.0 / math.sqrt(2.0))
+        bary = 0.5 * (1.0 - 2.0 * math.exp(-0.5) / SQRT_2PI / z)
+        np.testing.assert_allclose(y, 5.0 * (x - bary) + bary, atol=1e-9)
+        f = np.exp(-0.5 * x**2) / SQRT_2PI * (0.5 * x + 1.0) / z
+        np.testing.assert_allclose(v, f / 5.0, rtol=1e-8)
+
+    @pytest.mark.parametrize("mode", [{"closed_form": {}},{"compare": {"K": [1, 2], "candidates": 21}}])
+    @pytest.mark.parametrize(
+        "density",
+        [
+            uniform_density(-1e7, 1e7),
+            {
+                "kind": "normal",
+                "params": {"mu": 0.0, "sigma": 1e9},
+                "domain": {"min": -8e9, "max": 8e9, "resolution": 2001},
+            },
+        ],
+        ids=["uniform-1e7", "normal-sigma-1e9"],
+    )
+    def test_centring_is_judged_relative_to_the_spread(self, tmp_path, density, mode):
+        # wide centred densities have barycenters far above 1e-6 in absolute
+        # terms; [0, 1e-7], off centre by 1.7 spreads, is in the exit-3 list
+        scenario = write_scenario(tmp_path, {
+            "sigma2": 1.0,
+            "theta": 1.0,
+            "density": density,
+            "mode": mode,
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["run", scenario, "--quiet"]) == 0
+
     def test_off_center_start_reports_non_convergence(self, tmp_path, capsys):
         uniform_start = {
             "sigma2": 1.0,
@@ -587,6 +669,22 @@ class TestValidation:
             # explicit start outside the domain, which used to leave a station idle
             {"mode": {"discrete": {"K": 2, "positions": [0.1, 0.2]}}},
             {"mode": {"discrete": {"K": 2, "init": "explicit", "positions": [5.0, 7.0]}}},
+            # a non-positive tolerance, which used to run to max_steps and exit 4
+            {"density": centered_density(), "mode": {"continuum": {"tolerance": -1}}},
+            {"density": centered_density(), "mode": {"continuum": {"tolerance": 0}}},
+            # a density 1.7 spreads off centre, which passed an absolute 1e-6 test
+            {"density": uniform_density(0.0, 1e-7), "mode": {"closed_form": {}}},
+            {"density": uniform_density(0.0, 1e-7), "mode": {"compare": {"K": [1], "candidates": 21}}},
+            # JSON booleans, which used to pass as the numbers 1 and 0
+            {"mode": {"discrete": {"K": True}}},
+            {"mode": {"discrete": {"K": 1, "seed": True}}},
+            {"density": centered_density(), "mode": {"compare": {"K": [1], "candidates": True}}},
+            {"density": centered_density(), "mode": {"compare": {"K": [True]}}},
+            {"N": True},
+            {"theta": True},
+            {"sigma2": True},
+            {"mode": {"discrete": {"K": 1, "max_iterations": True}}},
+            {"density": centered_density(), "mode": {"continuum": {"max_steps": True}}},
         ],
         ids=[
             "sigma2-list", "N-null", "sigma2-inf", "theta-inf",
@@ -597,6 +695,10 @@ class TestValidation:
             "K-above-cap", "bounds-1d", "bounds-3d", "intercept-typo", "sigma-typo",
             "candidates-402", "candidates-1e12", "seed-string",
             "positions-without-explicit", "positions-outside-domain",
+            "tolerance-negative", "tolerance-zero", "closed_form-off-centre-tiny",
+            "compare-off-centre-tiny", "K-true", "seed-true", "candidates-true",
+            "compare-K-true", "N-true", "theta-true", "sigma2-true",
+            "max_iterations-true", "max_steps-true",
         ],
     )
     def test_bad_numbers_rejected(self, tmp_path, capsys, overrides):

@@ -186,6 +186,27 @@ class TestMeasure1D:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             Measure1D(np.linspace(0, 1, 5), np.full(5, 1e308))
 
+    def test_node_values_integrate_as_their_linear_interpolant(self):
+        # linear midpoints turn each Simpson panel into the trapezoid, and the
+        # barycenter into the exact first moment of the interpolant
+        grid = np.array([0.0, 0.5, 2.0])
+        nu = Measure1D(grid, np.array([1.0, 3.0, 0.0]))
+        np.testing.assert_array_equal(nu.values, [1.0, 3.0, 0.0])
+        assert nu.total_mass == pytest.approx(0.5 * 2.0 + 1.5 * 1.5, rel=1e-15)
+        first = (0.5**2 / 6.0) * (1.0 + 2.0 * 3.0) + (1.5 / 6.0) * (3.0 * (2.0 * 0.5 + 2.0))
+        assert nu.barycenter == pytest.approx(first / nu.total_mass, rel=1e-15)
+
+    def test_from_density_carries_the_density_samples(self):
+        # a triangular kink between nodes: node samples alone miss mass by 3e-6
+        f = DensityField.from_spec(
+            FunctionSpec("triangular", {"a": 0.0, "c": 0.3, "b": 1.0}), 1.0, Domain.interval(0.0, 1.0, 400)
+        )
+        nu = Measure1D.from_density(f, 2.5)
+        np.testing.assert_array_equal(nu.values, 2.5 * f.values)
+        assert nu.total_mass == pytest.approx(2.5, rel=1e-15)
+        assert nu.barycenter == pytest.approx(float(f.centroid()[0]), rel=1e-15)
+        assert nu.spread() == pytest.approx(f.spread(), rel=1e-12)
+
     def test_tiny_negative_values_clamped(self):
         grid = np.linspace(0.0, 1.0, 5)
         nu = Measure1D(grid, np.array([1.0, -1e-13, 1.0, 1.0, 1.0]))
@@ -321,6 +342,12 @@ class TestFixedPointStep:
         with pytest.raises(ValueError):
             fixed_point_step(f, Measure1D.from_density(f, 2.0), RadioParams(1.0, 1.0))
 
+    def test_mass_check_is_relative_to_the_traffic(self):
+        # 500 times the traffic is within 1e-6 in absolute terms
+        f = standard_normal_field()
+        with pytest.raises(ValueError, match="total traffic"):
+            fixed_point_step(f, Measure1D.from_density(f, 5e-7), RadioParams(1.0, 1e-9))
+
     def test_rejects_2d(self):
         f = DensityField.from_spec(
             FunctionSpec("uniform", {}),
@@ -407,12 +434,10 @@ class TestIterate:
             assert 0 < result.steps < 200
             assert math.isfinite(result.measure.barycenter)
 
-    def test_flat_start_on_compact_support_is_edge_limited(self):
-        # the sup metric sees the full edge jump of a compact-support
-        # density whenever two iterates' supports differ by even one
-        # ulp, so this run cannot pass the tolerance; it must still
-        # return instead of crashing once the barycenter crumb, which
-        # quadruples every step, overwhelms the grid
+    def test_flat_start_on_compact_support_converges(self):
+        # consecutive supports with a jump edge differ by about an ulp, which
+        # the sup metric reads as the full edge height; the L1 change reads
+        # it as the edge height times the shift, so the run stops
         f = DensityField.from_spec(
             FunctionSpec(
                 "truncated_normal", {"mu": 0.0, "sigma": 1.0, "a": -1.0, "b": 1.0}
@@ -422,9 +447,18 @@ class TestIterate:
         )
         grid = np.linspace(-1.0, 1.0, 1001)
         nu0 = Measure1D(grid, np.full(grid.size, 0.5))
-        result = iterate_fixed_point(f, nu0, RadioParams(1.0, 1.0), max_steps=80)
-        assert not result.converged
-        assert math.isfinite(result.measure.barycenter)
+        result = iterate_fixed_point(f, nu0, RadioParams(1.0, 1.0))
+        assert result.converged
+        assert result.steps <= 2
+        assert result.last_change < 1e-12
+        closed = optimal_station_density(f, 1.0)
+        assert abs(result.measure.spread() - closed.spread()) <= 1e-12 * closed.spread()
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan])
+    def test_tolerance_must_be_positive(self, tolerance):
+        f = standard_normal_field()
+        with pytest.raises(ValueError, match="tolerance"):
+            iterate_fixed_point(f, Measure1D.from_density(f, 1.0), RadioParams(1.0, 1.0), tolerance)
 
     def test_max_steps_validated(self):
         f = standard_normal_field()
@@ -465,6 +499,15 @@ class TestClosedForm:
         )
         with pytest.raises(ValueError, match="re-center"):
             optimal_station_density(f, 1.0)
+
+    def test_centring_is_relative_to_the_spread(self):
+        # a barycenter of 5e-8 is 1.7 spreads off centre on [0, 1e-7], and
+        # one of about 1e-6 is nothing on [-1e7, 1e7]
+        uniform = FunctionSpec("uniform", {})
+        with pytest.raises(ValueError, match="re-center"):
+            optimal_station_density(DensityField.from_spec(uniform, 1.0, Domain.interval(0.0, 1e-7)), 1.0)
+        wide = DensityField.from_spec(uniform, 1.0, Domain.interval(-1e7, 1e7))
+        assert optimal_station_density(wide, 1.0).spread() == pytest.approx(5.0 * wide.spread())
 
 
 class TestQuantilePlacements:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.integrate import simpson
 from scipy.special import erf
 
 from backhaulopt.density import (
@@ -9,7 +8,6 @@ from backhaulopt.density import (
     DensityField,
     Domain,
     FunctionSpec,
-    _node_simpson,
     default_domain,
     expected_terminals,
     fold_demand,
@@ -290,34 +288,6 @@ class TestTensorRule:
         for f in (d, fx):
             arrays = [f.cell_masses(), *f.cell_first_moments(), f.cell_second_moments()]
             assert all(arr.flags.c_contiguous for arr in arrays)
-
-
-class TestNodeSimpson:
-    """The Simpson rule over node samples that Measure1D integrates with."""
-
-    def grid(self, n, uniform):
-        if uniform:
-            return np.linspace(-1.0, 2.0, n)
-        return np.cumsum(np.random.default_rng(n).uniform(0.05, 1.0, n)) - 1.0
-
-    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 101, 1000, 1001])
-    def test_quadratics_are_exact(self, n, uniform):
-        # even node counts close with Cartwright's parabola, which is exact on quadratics too
-        x = self.grid(n, uniform)
-        a, b = x[0], x[-1]
-        for c0, c2, s in np.random.default_rng(7).uniform(0.1, 2.0, (5, 3)):
-            f = c0 + c2 * (x - s) ** 2
-            exact = c0 * (b - a) + c2 * ((b - s) ** 3 - (a - s) ** 3) / 3.0
-            assert _node_simpson(f, x) == pytest.approx(exact, rel=1e-14, abs=0)
-
-    @pytest.mark.parametrize("n", [3, 5, 101, 2001])
-    def test_matches_scipy_on_uniform_odd_grids(self, n):
-        # every scipy release applies one rule here; even counts changed between releases
-        x = np.linspace(-8.0, 8.0, n)
-        f = np.exp(-0.5 * x**2) * (1.0 + 0.3 * np.sin(3.0 * x))
-        for y in (f, f * x, f * x**2):
-            assert _node_simpson(y, x) == pytest.approx(simpson(y, x=x), rel=1e-15, abs=0)
 
 
 class TestFoldDemand:

@@ -230,6 +230,10 @@ class TestConfig:
         for seed in ("abc", -1, 1.5):
             with pytest.raises(ValueError):
                 OptimizerConfig(seed=seed)
+        # a bool is an Integral; True is not a count of 1
+        for field in ("max_iterations", "seed"):
+            with pytest.raises(ValueError, match=field):
+                OptimizerConfig(**{field: True})
 
 
 class TestOptimize:

@@ -1,5 +1,5 @@
-"""Property tests of the power objective, the assignment and the optimizer on
-random small instances."""
+"""Property tests of the power objective, the assignment, the optimizer and
+the station measures on random small instances."""
 
 import dataclasses
 
@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from backhaulopt.brute_force import naive_total_power
-from backhaulopt.density import DensityField, Domain
+from backhaulopt.continuum import AffineMap, Measure1D, pushforward
+from backhaulopt.density import DemandField, DensityField, Domain, FunctionSpec, fold_demand
 from backhaulopt.discrete_placement import (
     OptimizerConfig,
     optimize,
@@ -180,3 +181,44 @@ def test_assignment_matches_dense_argmin(layout):
     d, pos = layout
     partition = voronoi_partition(pos, d)
     np.testing.assert_array_equal(partition.assignment.ravel(), dense_assignment(pos, d))
+
+
+@st.composite
+def interval_densities(draw):
+    """A triangular, truncated-normal or uniform density on a random interval,
+    at a random node count of either parity, folded with a positive affine
+    demand or not."""
+    kind = draw(st.sampled_from(["triangular", "truncated_normal", "uniform"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, width = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0)
+    hi = lo + width
+    params = {
+        "triangular": {"a": lo, "c": lo + width * rng.uniform(), "b": hi},
+        "truncated_normal": {
+            "mu": rng.uniform(lo, hi), "sigma": width * rng.uniform(0.1, 2.0), "a": lo, "b": hi,
+        },
+        "uniform": {},
+    }[kind]
+    domain = Domain.interval(lo, hi, draw(st.integers(3, 3001)))
+    if not draw(st.booleans()):
+        return DensityField.from_spec(FunctionSpec(kind, params), 1.0, domain)
+    slope = rng.uniform(-2.0, 2.0)
+    demand = {"slope": slope, "intercept": rng.uniform(0.1, 2.0) - min(slope * lo, slope * hi)}
+    return fold_demand(DemandField(domain, FunctionSpec(kind, params), FunctionSpec("affine", demand)))
+
+
+@SETTINGS
+@given(interval_densities(), st.floats(1e-3, 1e3), st.floats(0.1, 10.0), st.floats(-5.0, 5.0))
+def test_station_measures_carry_exact_mass_and_barycenter(f, mass, slope, offset):
+    # station measures integrate the density's own Simpson samples, so
+    # neither the node count's parity, nor a kink between nodes, nor the
+    # product samples of a folded demand cost mass;
+    # the barycenter is exact up to the rounding of its own magnitude
+    b, spread = float(f.centroid()[0]), f.spread()
+    for nu, scale, shift in (
+        (Measure1D.from_density(f, mass), 1.0, 0.0),
+        (pushforward(f, AffineMap(slope, offset), mass), slope, offset),
+    ):
+        expected = scale * b + shift
+        assert abs(nu.total_mass - mass) <= 1e-13 * mass
+        assert abs(nu.barycenter - expected) <= 1e-13 * (scale * spread + abs(expected))
