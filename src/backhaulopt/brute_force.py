@@ -5,11 +5,17 @@ cross-check the main solvers, plus the empirical discrete-vs-continuum
 consistency probe. The quadrature weights and the cost formula are
 re-derived inline on purpose; nothing here calls into the solver
 modules' arithmetic.
+
+The exhaustive search prices every K-subset from pair tables: a station
+at q owning cells [lo, hi) has access sum R_q(hi) − R_q(lo), with
+R_q(e) = w2[e] − 2q·w1[e] + q²·w0[e] over prefix sums of the cell
+weights and moments, which telescopes across consecutive stations to one
+table entry per pair. Subsets priced near the minimum are priced again
+per station, and that price picks the result.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -101,19 +107,18 @@ def naive_total_power(positions, assignment, d: DensityField, params: RadioParam
     return total
 
 
-def _midpoint_tables(d: DensityField):
+def _midpoint_weights(d: DensityField):
     if d.domain.ndim != 1:
         raise ValueError("the brute-force search is 1D")
     x = d.domain.axis(0)
     centers = 0.5 * (x[:-1] + x[1:])
-    w = d.eval(centers) * np.diff(x)
+    return centers, d.eval(centers) * np.diff(x)
+
+
+def _prefix_sums(w, x):
+    """Prefix sums of w, w·x and w·x², each starting at 0."""
     zero = np.zeros(1)
-    return (
-        centers,
-        np.concatenate([zero, np.cumsum(w)]),
-        np.concatenate([zero, np.cumsum(w * centers)]),
-        np.concatenate([zero, np.cumsum(w * centers**2)]),
-    )
+    return tuple(np.concatenate([zero, np.cumsum(t)]) for t in (w, w * x, w * x**2))
 
 
 def midpoint_total_power(positions, d: DensityField, params: RadioParams) -> float:
@@ -124,8 +129,8 @@ def midpoint_total_power(positions, d: DensityField, params: RadioParams) -> flo
     grid-resolution-level differences, not roundoff-level ones.
     """
     q = np.sort(np.asarray(positions, dtype=float).reshape(-1))
-    centers, w0, w1, w2 = _midpoint_tables(d)
-    cost = _tuple_costs(q[None, :], centers, w0, w1, w2, d.throughput, params)
+    centers, w = _midpoint_weights(d)
+    cost = _tuple_costs(q[None, :], centers, *_prefix_sums(w, centers), d.throughput, params)
     return float(cost[0])
 
 
@@ -156,6 +161,27 @@ def _tuple_costs(Q, centers, w0, w1, w2, throughput, params):
     return intra + params.noise_power * inter / m
 
 
+def _prepend(first, sums, links, lo, hi):
+    """Prepend each lead in [lo, hi) to the subsets that start above it.
+
+    `first` holds the first index of every k-subset, in lexicographic
+    order, and `sums` their linked sums. Returns, for every (k+1)-subset
+    with its lead in [lo, hi) and again in lexicographic order, the lead,
+    the k-subset's position and the sums with the lead's link added.
+    """
+    leads = np.arange(lo, hi)
+    start = np.searchsorted(first, leads, side="right")
+    count = first.size - start
+    lead = np.repeat(leads, count)
+    idx = np.arange(lead.size) + np.repeat(start - (np.cumsum(count) - count), count)
+    nxt = first[idx]
+    return lead, idx, [link[lead, nxt] + s[idx] for link, s in zip(links, sums)]
+
+
+# subsets priced per block, which bounds memory at any candidate count
+_BLOCK = 1 << 16
+
+
 @dataclass
 class BruteForceResult:
     positions: np.ndarray
@@ -172,6 +198,30 @@ def brute_force_optimize(
     assignment; the global grid minimum is returned with deterministic
     tie-breaking (lexicographically smallest tuple). Kept small on
     purpose: the subset count explodes combinatorially.
+
+    Every subset is priced, from pair tables rather than per station.
+    With prefix sums w0, w1, w2 of the cell weights and moments, a station
+    at q owning cells [lo, hi) has access sum R_q(hi) − R_q(lo), where
+    R_q(e) = w2[e] − 2q·w1[e] + q²·w0[e] and R_q(0) = 0. A pair's shared
+    boundary e depends on that pair alone, so a subset's sum telescopes
+    to Σ_pairs [R_a(e) − R_b(e)] + R_last(n). Σ t_j q_j and Σ t_j q_j²
+    telescope the same way in w0, and the backhaul sum is
+    2σ²·(Σ t q² − (Σ t q)²/m) with m = θ·w0[n]. The tables use coordinates
+    centred on the candidates: exact, as the cost is translation-invariant,
+    and free of cancellation far from the origin.
+
+    Re-pricing rule: every subset whose table price lies within a window
+    of the table minimum is priced again by `_tuple_costs` (the formula of
+    `midpoint_total_power`), and the result is that price's first argmin.
+    Both prices round the same exact cost. Each prefix sum adds at most n
+    terms bounded by W·X^k (W = w0[n], X the largest coordinate magnitude
+    of cells and candidates, at most 2X once centred), so recursive
+    summation keeps it within (n+1)·u of that bound (Higham 2002, §4.2;
+    u the unit roundoff). Through K station or pair terms each price is
+    then within 16·K·(n+2)·u·S of the exact cost, S = W·X²·(gain + 2σ²θ),
+    and the true minimum's table price within 2·32·K·(n+2)·u·S, the
+    window, of the table minimum. Sized from what the reference sums, not
+    from the result, the window covers its rounding far off-centre too.
     """
     if d.domain.ndim != 1:
         raise ValueError("the brute-force search is 1D")
@@ -185,21 +235,53 @@ def brute_force_optimize(
     if not d.domain.contains(cand).all():
         raise ValueError("candidates must lie inside the domain")
 
-    centers, w0, w1, w2 = _midpoint_tables(d)
-    best_cost = math.inf
+    centers, w = _midpoint_weights(d)
+    w0, w1, w2 = _prefix_sums(w, centers)
+    C, n, W = cand.size, centers.size, w0[-1]
+    gain = params.noise_power * (2.0 ** params.throughput - 1.0)
+    g = 2.0 * params.noise_power * d.throughput
+
+    shift = 0.5 * (cand[0] + cand[-1])
+    q = cand - shift
+    _, v1, v2 = _prefix_sums(w, centers - shift)
+    # first cell of each pair's upper station: the float and the integer
+    # _tuple_costs computes for that pair inside a tuple
+    e = np.searchsorted(centers, 0.5 * (cand[:, None] + cand[None, :]), side="right")
+    dq = q[:, None] - q[None, :]
+    # link tables: [a, b] for consecutive stations a < b, column C closes a tuple
+    link_a = np.empty((C, C + 1))
+    link_s = np.empty((C, C + 1))
+    link_a[:, :C] = dq * ((gain + g) * (q[:, None] + q[None, :]) * w0[e] - 2.0 * gain * v1[e])
+    link_a[:, C] = gain * (v2[n] - 2.0 * q * v1[n]) + (gain + g) * q * q * W
+    link_s[:, :C] = dq * w0[e]
+    link_s[:, C] = q * W
+
+    # the (K-1)-subsets in lexicographic order and their linked sums; the
+    # 0-subset is closed by column C
+    links = (link_a, link_s)
+    first, rows, sums = np.array([C]), np.empty((1, 0), dtype=np.intp), [np.zeros(1)] * 2
+    for _ in range(K - 1):
+        first, idx, sums = _prepend(first, sums, links, 0, C)
+        rows = np.column_stack([first, rows[idx]])
+
+    u = np.finfo(float).eps / 2
+    X = max(abs(centers[0]), abs(centers[-1]), abs(cand[0]), abs(cand[-1]))
+    window = 64.0 * K * (n + 2) * u * W * X * X * (gain + g)
+    fast_min = best_cost = math.inf
     best = None
-    combos = itertools.combinations(range(cand.size), K)
-    while True:
-        chunk = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, 200_000)),
-            dtype=np.intp,
-        ).reshape(-1, K)
-        if chunk.size == 0:
-            break
-        Q = cand[chunk]
+    # lead 0 starts the most subsets; leads past C - K start none
+    step = max(1, _BLOCK // (first.size - int(np.searchsorted(first, 0, side="right"))))
+    for lo in range(0, C - K + 1, step):
+        lead, idx, (fast_a, fast_s) = _prepend(first, sums, links, lo, min(lo + step, C))
+        fast = fast_a - (g / W) * fast_s * fast_s
+        fast_min = min(fast_min, float(fast.min()))
+        near = np.flatnonzero(~(fast > fast_min + window))  # NaN is re-priced too
+        if near.size == 0:
+            continue
+        Q = cand[np.column_stack([lead[near], rows[idx[near]]])]
         costs = _tuple_costs(Q, centers, w0, w1, w2, d.throughput, params)
         k = int(np.argmin(costs))
-        # strict < keeps the earlier tuple: combinations run lexicographically
+        # strict < keeps the earlier tuple: blocks run lexicographically
         if costs[k] < best_cost:
             best_cost = float(costs[k])
             best = Q[k]

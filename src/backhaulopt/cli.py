@@ -129,7 +129,7 @@ def _build_field(scenario, grid) -> DensityField:
 def _parse_scenario(scenario, grid, seed):
     _object(scenario, "scenario", SCENARIO_KEYS)
     sigma2 = _number("sigma2", _require(scenario, "sigma2", "scenario"))
-    if "N" in scenario and _number("N", scenario["N"], int) < 0:
+    if "N" in scenario and _number("N", scenario["N"], operator.index) < 0:
         raise ScenarioError("N must be nonnegative")
 
     mode = _object(_require(scenario, "mode", "scenario"), "mode", MODES)

@@ -197,6 +197,16 @@ class FunctionSpec:
             raise ValueError(
                 f"unknown parameter {unknown[0]!r} for kind {self.kind!r}; it takes {takes}"
             )
+        for name, value in self.params.items():
+            if _holds_bool(value):
+                raise ValueError(f"parameter {name!r} of kind {self.kind!r} must be numeric, not boolean")
+
+
+def _holds_bool(value) -> bool:
+    """Whether a parameter is or contains a boolean, which would read as 1 or 0."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
 
 
 def _per_axis(value, ndim: int, name: str) -> np.ndarray:

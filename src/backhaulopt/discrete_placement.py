@@ -74,6 +74,9 @@ class OptimizerConfig:
             value = getattr(self, name)  # a bool is an Integral, but not a count
             if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
                 raise ValueError(f"{name} must be a whole number, at least {least}")
+        for name in ("position_tolerance", "damping"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a boolean")
         if not 0 < self.position_tolerance < math.inf:
             raise ValueError("position tolerance must be positive and finite")
         if not 0.0 < self.damping <= 1.0:

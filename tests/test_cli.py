@@ -685,6 +685,15 @@ class TestValidation:
             {"sigma2": True},
             {"mode": {"discrete": {"K": 1, "max_iterations": True}}},
             {"density": centered_density(), "mode": {"continuum": {"max_steps": True}}},
+            {"mode": {"discrete": {"K": 1, "damping": True}}},
+            {"mode": {"discrete": {"K": 1, "position_tolerance": True}}},
+            {
+                "density": dict(centered_density(), params={"mu": 0.0, "sigma": True, "a": -1.0, "b": 1.0}),
+                "mode": {"closed_form": {}},
+            },
+            # N is a count: a JSON string, and 2.5, which used to run on 2
+            {"N": "5"},
+            {"N": 2.5},
         ],
         ids=[
             "sigma2-list", "N-null", "sigma2-inf", "theta-inf",
@@ -698,7 +707,8 @@ class TestValidation:
             "tolerance-negative", "tolerance-zero", "closed_form-off-centre-tiny",
             "compare-off-centre-tiny", "K-true", "seed-true", "candidates-true",
             "compare-K-true", "N-true", "theta-true", "sigma2-true",
-            "max_iterations-true", "max_steps-true",
+            "max_iterations-true", "max_steps-true", "damping-true",
+            "position_tolerance-true", "sigma-true", "N-string", "N-2.5",
         ],
     )
     def test_bad_numbers_rejected(self, tmp_path, capsys, overrides):
