@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .density import DensityField, _cdf_quantiles, _midpoint_levels, _refine, _simpson
+from .density import CONTAINMENT_TOL, DensityField, Domain, _midpoint_levels, _refine
 from .power_model import RadioParams
 
 __all__ = [
@@ -123,66 +123,63 @@ TransportMap = Union[AffineMap, SampledMap]
 
 
 class Measure1D:
-    """Nonnegative measure on an interval, sampled like a `DensityField`.
+    """Nonnegative measure on an interval: `total_mass` times a unit-mass density.
 
-    It keeps a sample at every Simpson point of its grid and integrates them
-    with the density's rule; `values` are the node samples. `Measure1D(grid,
-    values)` fills in the cell midpoints linearly, so node values integrate
-    as their linear interpolant (the trapezoid rule).
+    `density` is a 1D `DensityField`, which holds, checks and integrates
+    the samples at every Simpson point of the grid; `values` are the node
+    values of the measure. `Measure1D(grid, values)` takes node values on
+    an evenly spaced grid and fills in the cell midpoints linearly, so they
+    integrate as their linear interpolant (the trapezoid rule).
     """
 
     def __init__(self, grid: np.ndarray, values: np.ndarray):
         grid, values = (np.asarray(a, dtype=float) for a in (grid, values))
-        if grid.ndim != 1 or grid.shape != values.shape:
-            raise ValueError("a measure needs matching 1D grid and value arrays")
-        self._sample(grid, _refine(values, 0))
-
-    @classmethod
-    def _sampled(cls, grid: np.ndarray, samples: np.ndarray) -> "Measure1D":
-        """A measure from its samples at every Simpson point of `grid`."""
-        nu = cls.__new__(cls)
-        nu._sample(grid, samples)
-        return nu
-
-    def _sample(self, grid: np.ndarray, samples: np.ndarray) -> None:
-        if grid.size < 3 or not np.all(np.diff(grid) > 0):
-            raise ValueError("a measure grid needs 3 or more strictly increasing nodes")
-        if not samples.min() >= -1e-12:  # NaN too; the mass check catches an inf
-            raise ValueError("measure densities must be finite and nonnegative")
-        self.grid = grid
-        self._samples = np.maximum(samples, 0.0)
-        self.values = self._samples[::2]
-        self.total_mass = self._moment(0)
-        if not 0 < self.total_mass < math.inf:
-            raise ValueError("measure mass must be positive and finite")
-        self.barycenter = self._moment(1) / self.total_mass
-
-    def _moment(self, power: int) -> float:
-        """Simpson integral of y**power against the measure."""
-        weight = _refine(self.grid, 0) ** power if power else None
-        return float(_simpson(self._samples, [np.diff(self.grid)], [weight]).sum())
+        if grid.ndim != 1 or grid.shape != values.shape or grid.size < 3:
+            raise ValueError("a measure needs matching 1D grid and value arrays of 3 or more nodes")
+        domain = Domain.interval(grid[0], grid[-1], grid.size)
+        if not np.all(np.abs(grid - domain.axis(0)) <= CONTAINMENT_TOL * (grid[-1] - grid[0])):
+            raise ValueError("a measure grid must be evenly spaced")
+        self.density = DensityField.from_values(domain, values)
+        self.total_mass = 1.0 / self.density._scale
 
     @staticmethod
     def from_density(d: DensityField, mass: float) -> "Measure1D":
-        if d.domain.ndim != 1:
-            raise ValueError("measures are 1D")
-        return Measure1D._sampled(d.domain.axis(0), mass * d._stencil)
+        """`mass` times the 1D density `d`, which the measure keeps without a copy."""
+        if d.domain.ndim != 1 or d.domain.resolution[0] < 3:
+            raise ValueError("measures are 1D, on 3 or more nodes")
+        if not 0 < mass < math.inf:
+            raise ValueError("measure mass must be positive and finite")
+        nu = Measure1D.__new__(Measure1D)
+        nu.density, nu.total_mass = d, float(mass)
+        return nu
 
     @staticmethod
     def from_values(grid, values, mass: Optional[float] = None) -> "Measure1D":
         """Build from node values, as the constructor does, rescaled to `mass` if given."""
         m = Measure1D(grid, values)
-        return m if mass is None else Measure1D._sampled(m.grid, m._samples * (mass / m.total_mass))
+        return m if mass is None else Measure1D.from_density(m.density, mass)
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self.density.domain.axis(0)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.total_mass * self.density.values
+
+    @property
+    def barycenter(self) -> float:
+        return float(self.density.centroid()[0])
 
     def spread(self) -> float:
         """Standard deviation about the barycenter."""
-        return math.sqrt(max(self._moment(2) / self.total_mass - self.barycenter**2, 0.0))
+        return self.density.spread()
 
     def normalized(self) -> "Measure1D":
-        return Measure1D._sampled(self.grid, self._samples / self.total_mass)
+        return Measure1D.from_density(self.density, 1.0)
 
     def quantiles(self, levels) -> np.ndarray:
-        return _cdf_quantiles(self.grid, self.values, levels)
+        return self.density.quantiles(levels)
 
 
 def _on_common_nodes(a: Measure1D, b: Measure1D):
@@ -207,7 +204,8 @@ def pushforward(f: DensityField, T: TransportMap, mass: float) -> Measure1D:
     """Image of the terminal density under a monotone map, scaled to `mass`.
 
     The returned density is v(y) = mass * f(T^-1(y)) / T'(T^-1(y)) at the
-    Simpson points of the image grid of the source domain. Raises
+    Simpson points of the image grid of the source domain; the measure
+    carries the Simpson mass of those samples. Raises
     GridCollapseError when the grid nodes of the image collide in floats:
     the image sits too far from the origin, or has shrunk to a single float.
     """
@@ -224,11 +222,9 @@ def pushforward(f: DensityField, T: TransportMap, mass: float) -> Measure1D:
             f"{ygrid.size} nodes; the map has diverged"
         )
     xq, slope = T.invert_with_slope(_refine(ygrid, 0))
-    if f.analytic is None:  # a folded density's midpoints are off its node interpolant
-        fx = np.interp(xq, _refine(f.domain.axis(0), 0), f._stencil)
-    else:
-        fx = f.eval(np.clip(xq, a, b))
-    return Measure1D._sampled(ygrid, mass * fx / slope)
+    fx = f.eval(np.clip(xq, a, b))
+    image = DensityField(Domain.interval(ya, yb, ygrid.size), mass * fx / slope, 1.0)
+    return Measure1D.from_density(image, 1.0 / image._scale)
 
 
 def fixed_point_step(

@@ -282,7 +282,7 @@ def spec_values(spec: FunctionSpec, domain: Domain, points: np.ndarray) -> np.nd
             rising = (x >= a) & (x <= c)
             out[rising] = 2.0 * (x[rising] - a) / ((b - a) * (c - a))
     elif kind == "grid":
-        out = _interp_grid(domain, np.asarray(p["values"], dtype=float), coords)
+        out = _interp_grid(domain.axes, np.asarray(p["values"], dtype=float), coords)
     elif kind == "constant":
         out = np.full(coords[0].shape, float(p["value"]))
     elif kind == "affine":
@@ -305,11 +305,12 @@ def _midpoint_levels(n: int) -> np.ndarray:
     return (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
 
 
-def _interp_grid(domain: Domain, values: np.ndarray, coords) -> np.ndarray:
-    values = values.reshape(domain.resolution)
-    if domain.ndim == 1:
-        return np.interp(coords[0], domain.axis(0), values)
-    xg, yg = domain.axes
+def _interp_grid(axes, values: np.ndarray, coords) -> np.ndarray:
+    """Multilinear interpolation of `values` tabulated on the tensor grid of `axes`."""
+    values = values.reshape([ax.size for ax in axes])
+    if len(axes) == 1:
+        return np.interp(coords[0], axes[0], values)
+    xg, yg = axes
     ix = np.clip(np.searchsorted(xg, coords[0], side="right") - 1, 0, len(xg) - 2)
     iy = np.clip(np.searchsorted(yg, coords[1], side="right") - 1, 0, len(yg) - 2)
     tx = (coords[0] - xg[ix]) / (xg[ix + 1] - xg[ix])
@@ -349,14 +350,6 @@ def _stencil(spec: FunctionSpec, domain: Domain) -> np.ndarray:
     return spec_values(spec, domain, _simpson_points(domain.axes))
 
 
-def _node_stencil(domain: Domain, values: np.ndarray) -> np.ndarray:
-    """Simpson-point values of gridded data: midpoints by linear interpolation."""
-    f = np.asarray(values, dtype=float).reshape(domain.resolution)
-    for k in range(domain.ndim):
-        f = _refine(f, k)
-    return f
-
-
 def _simpson(f: np.ndarray, widths, weights=(None, None)) -> np.ndarray:
     """Per-cell Simpson integrals of samples `f` on the refined grid.
 
@@ -385,8 +378,9 @@ class DensityField:
 
     The constructor takes nonnegative samples at every Simpson point of
     the grid (shape 2r - 1 per axis for r nodes), at any scale, and
-    normalizes them to unit Simpson mass; `from_spec` and `from_values`
-    produce those samples from a closed form or from node values.
+    normalizes them to unit Simpson mass, reading samples in [-1e-12, 0)
+    as 0; `from_spec` and `from_values` produce those samples from a
+    closed form or from node values.
 
     Attributes:
         domain: the gridded support.
@@ -407,8 +401,8 @@ class DensityField:
         shape = tuple(2 * r - 1 for r in domain.resolution)
         if samples.shape != shape:
             raise ValueError(f"density samples must have the Simpson-point shape {shape}")
-        if not samples.min() >= -1e-12:
-            raise ValueError("density values must be nonnegative")
+        if not samples.min() >= -1e-12:  # NaN too; the mass check catches an inf
+            raise ValueError("density samples must be finite and nonnegative")
         mass = float(_simpson(samples, domain.spacings).sum())
         if not 0 < mass < math.inf:
             raise ValueError("density mass must be positive and finite")
@@ -419,6 +413,7 @@ class DensityField:
         self.analytic = analytic
         self._scale = 1.0 / mass
         self._stencil = self._scale * samples
+        np.maximum(self._stencil, 0.0, out=self._stencil)  # rounding-level negatives
         self.values = np.ascontiguousarray(self._stencil[np.s_[::2,] * domain.ndim])
         self._cell_mass = _simpson(self._stencil, domain.spacings)
         self._moment_cache: dict[str, np.ndarray] = {}
@@ -450,24 +445,31 @@ class DensityField:
     def from_values(
         domain: Domain, values: np.ndarray, throughput: float = 1.0
     ) -> "DensityField":
-        """Build a normalized field from raw node samples."""
-        return DensityField(domain, _node_stencil(domain, values), throughput)
+        """Build a normalized field from raw node samples, with linear midpoints."""
+        samples = np.asarray(values, dtype=float).reshape(domain.resolution)
+        for k in range(domain.ndim):
+            samples = _refine(samples, k)
+        return DensityField(domain, samples, throughput)
 
     # ------------------------------------------------------------------- eval
 
     def eval(self, points) -> np.ndarray:
         """Density at arbitrary points of the domain.
 
-        Uses the closed form when one is attached, multilinear
-        interpolation of the node samples otherwise. Points outside the
-        domain raise ValueError.
+        Uses the closed form when one is attached, and otherwise the
+        multilinear interpolant of the Simpson samples the quadrature
+        integrates: the node interpolant of gridded data, the product
+        samples of a folded density. Points outside the domain raise
+        ValueError.
         """
         pts = np.asarray(points, dtype=float)
         if not np.all(self.domain.contains(pts)):
             raise ValueError("point outside the density domain")
         if self.analytic is not None:
             return self._scale * spec_values(self.analytic, self.domain, pts)
-        return spec_values(FunctionSpec("grid", {"values": self.values}), self.domain, pts)
+        coords, shape = _coords(pts, self.domain.ndim)
+        axes = [_refine(ax, 0) for ax in self.domain.axes]
+        return _interp_grid(axes, self._stencil, coords).reshape(shape)
 
     # ------------------------------------------------------------- quadrature
 

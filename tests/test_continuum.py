@@ -176,6 +176,11 @@ class TestMeasure1D:
             Measure1D(np.linspace(0, 1, 5), np.array([1.0, -0.5, 1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             Measure1D(np.linspace(0, 1, 5), np.zeros(5))
+        with pytest.raises(ValueError, match="evenly spaced"):
+            Measure1D(np.array([0.0, 0.5, 2.0]), np.ones(3))
+        for mass in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="mass"):
+                Measure1D.from_values(np.linspace(0, 1, 5), np.ones(5), mass=mass)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_samples_rejected(self, bad):
@@ -189,11 +194,11 @@ class TestMeasure1D:
     def test_node_values_integrate_as_their_linear_interpolant(self):
         # linear midpoints turn each Simpson panel into the trapezoid, and the
         # barycenter into the exact first moment of the interpolant
-        grid = np.array([0.0, 0.5, 2.0])
+        grid = np.array([0.0, 1.0, 2.0])
         nu = Measure1D(grid, np.array([1.0, 3.0, 0.0]))
-        np.testing.assert_array_equal(nu.values, [1.0, 3.0, 0.0])
-        assert nu.total_mass == pytest.approx(0.5 * 2.0 + 1.5 * 1.5, rel=1e-15)
-        first = (0.5**2 / 6.0) * (1.0 + 2.0 * 3.0) + (1.5 / 6.0) * (3.0 * (2.0 * 0.5 + 2.0))
+        np.testing.assert_allclose(nu.values, [1.0, 3.0, 0.0], rtol=1e-15, atol=0)
+        assert nu.total_mass == pytest.approx(1.0 * 2.0 + 1.0 * 1.5, rel=1e-15)
+        first = (1.0 / 6.0) * (4.0 * 0.5 * 2.0 + 3.0) + (1.0 / 6.0) * (3.0 + 4.0 * 1.5 * 1.5)
         assert nu.barycenter == pytest.approx(first / nu.total_mass, rel=1e-15)
 
     def test_from_density_carries_the_density_samples(self):
@@ -202,15 +207,20 @@ class TestMeasure1D:
             FunctionSpec("triangular", {"a": 0.0, "c": 0.3, "b": 1.0}), 1.0, Domain.interval(0.0, 1.0, 400)
         )
         nu = Measure1D.from_density(f, 2.5)
+        assert nu.density is f
         np.testing.assert_array_equal(nu.values, 2.5 * f.values)
         assert nu.total_mass == pytest.approx(2.5, rel=1e-15)
         assert nu.barycenter == pytest.approx(float(f.centroid()[0]), rel=1e-15)
         assert nu.spread() == pytest.approx(f.spread(), rel=1e-12)
 
     def test_tiny_negative_values_clamped(self):
+        # one nonnegativity rule: the density clamps rounding-level negatives
         grid = np.linspace(0.0, 1.0, 5)
-        nu = Measure1D(grid, np.array([1.0, -1e-13, 1.0, 1.0, 1.0]))
-        assert nu.values.min() == 0.0
+        values = np.array([1.0, -1e-13, 1.0, 1.0, 1.0])
+        d = DensityField.from_values(Domain.interval(0.0, 1.0, 5), values)
+        assert d.values.min() == 0.0
+        assert Measure1D.from_density(d, 1.0).values.min() == 0.0
+        assert Measure1D(grid, values).values.min() == 0.0
 
 
 class TestSupDistance:

@@ -8,6 +8,7 @@ from backhaulopt.density import (
     DensityField,
     Domain,
     FunctionSpec,
+    _simpson_points,
     default_domain,
     expected_terminals,
     fold_demand,
@@ -373,3 +374,21 @@ class TestFoldDemand:
         )
         assert d.throughput == pytest.approx(2.0, rel=1e-9)
         assert d.integrate() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("resolution", [(41,), (21, 17)])
+    def test_folded_field_is_read_from_its_own_samples(self, resolution):
+        # between nodes the product of density and demand is not the node
+        # interpolant, so eval, region integrals and terminal counts must
+        # read the Simpson samples the quadrature integrates
+        dom = Domain(((-1.0, 1.0),) * len(resolution), resolution)
+        d = fold_demand(
+            DemandField(
+                dom,
+                FunctionSpec("normal", {"mu": 0.1, "sigma": 0.4}),
+                FunctionSpec("affine", {"slope": 1.0, "intercept": 3.0}),
+            )
+        )
+        assert d.analytic is None
+        assert d.integrate(dom.bounds) == pytest.approx(d.integrate(), abs=1e-14)
+        assert expected_terminals(d, dom.bounds, 1000) == pytest.approx(1000.0, rel=1e-14)
+        np.testing.assert_array_equal(d.eval(_simpson_points(dom.axes)), d._stencil)

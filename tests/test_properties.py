@@ -29,19 +29,27 @@ SETTINGS = settings(max_examples=25)
 
 @st.composite
 def instances(draw):
-    """A random gridded density (1D or 2D, at most 41 nodes per axis),
-    radio parameters, and 1 to 6 distinct station positions inside it."""
+    """A random gridded density (1D or 2D, at most 41 nodes per axis), folded
+    with a positive affine demand or not, radio parameters, and 1 to 6
+    distinct station positions inside it."""
     ndim = draw(st.sampled_from([1, 2]))
     resolution = tuple(draw(st.integers(2, 41)) for _ in range(ndim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bounds = tuple((lo, lo + w) for lo, w in rng.uniform([-2.0, 0.5], [2.0, 3.0], (ndim, 2)))
     domain = Domain(bounds, resolution)
-    d = DensityField.from_values(
-        domain, rng.uniform(0.05, 1.0, resolution), float(rng.uniform(0.5, 3.0))
-    )
+    values = rng.uniform(0.05, 1.0, resolution)
+    lo, hi = np.array(bounds).T
+    if draw(st.booleans()):
+        d = DensityField.from_values(domain, values, float(rng.uniform(0.5, 3.0)))
+    else:
+        slope = rng.uniform(-2.0, 2.0, ndim)
+        low = np.minimum(slope * lo, slope * hi).sum()  # the demand's minimum, less the intercept
+        demand = {"slope": slope.tolist(), "intercept": rng.uniform(0.1, 2.0) - low}
+        d = fold_demand(
+            DemandField(domain, FunctionSpec("grid", {"values": values}), FunctionSpec("affine", demand))
+        )
     params = RadioParams(float(rng.uniform(0.5, 2.0)), d.throughput)
     K = draw(st.integers(1, 6))
-    lo, hi = np.array(bounds).T
     pos = rng.uniform(lo, hi, (K, ndim))
     return d, params, pos, rng
 
