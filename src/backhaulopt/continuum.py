@@ -14,6 +14,7 @@ optimizer only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -321,8 +322,8 @@ def quantile_placements(nu: Measure1D, K: int) -> np.ndarray:
     """Equal-mass representative station positions for a station measure.
 
     Positions sit at the (2i - 1) / (2K) quantiles of the measure
-    normalized to a probability measure, i = 1..K.
+    normalized to a probability measure, i = 1..K; K is a whole number.
     """
-    if K < 1:
-        raise ValueError("station count must be at least 1")
+    if isinstance(K, bool) or not (isinstance(K, numbers.Integral) and K >= 1):
+        raise ValueError("station count must be a whole number, at least 1")
     return nu.quantiles(_midpoint_levels(K))

@@ -293,11 +293,10 @@ def spec_values(spec: FunctionSpec, domain: Domain, points: np.ndarray) -> np.nd
     return out.reshape(out_shape)
 
 
-def _cdf_quantiles(grid: np.ndarray, values: np.ndarray, levels) -> np.ndarray:
-    """Points where the normalized trapezoid CDF of samples reaches each level."""
-    cdf = np.cumsum(np.diff(grid) * (values[1:] + values[:-1]) / 2.0)
-    cdf = np.concatenate([[0.0], cdf / cdf[-1]])
-    return np.interp(np.asarray(levels, dtype=float), cdf, grid)
+def _cdf_quantiles(edges: np.ndarray, cell_masses: np.ndarray, levels) -> np.ndarray:
+    """Where the normalized cumulative cell mass, linear in each cell, reaches each level."""
+    cdf = np.concatenate([[0.0], np.cumsum(cell_masses)])
+    return np.interp(np.asarray(levels, dtype=float), cdf / cdf[-1], edges)
 
 
 def _midpoint_levels(n: int) -> np.ndarray:
@@ -543,10 +542,10 @@ class DensityField:
         return out
 
     def quantiles(self, levels) -> np.ndarray:
-        """Quantile locations of a 1D density from its gridded CDF."""
+        """Quantile locations of a 1D density from its cumulative Simpson cell masses."""
         if self.domain.ndim != 1:
             raise ValueError("quantiles are defined for 1D densities")
-        return _cdf_quantiles(self.domain.axis(0), self.values, levels)
+        return _cdf_quantiles(self.domain.axis(0), self._cell_mass, levels)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .density import DensityField, _cdf_quantiles, _midpoint_levels
+from .density import DensityField, _cdf_quantiles, _grid_points, _midpoint_levels
 from .power_model import (
     CellPartition,
     PowerReport,
@@ -56,6 +56,7 @@ class OptimizerConfig:
     `init` picks the starting layout: "quantile" places stations at
     equal-mass quantiles of the density, "jitter" adds a small seeded
     perturbation to those, "explicit" starts from `positions`, in the domain.
+    `position_tolerance` is a fraction of the domain's largest side.
     `include_inter` is a diagnostic switch; with it off the optimizer
     runs the pure quantizer (Lloyd) dynamics and the trace tracks the
     access power only.
@@ -172,9 +173,9 @@ def update_positions(
 def initial_positions(
     d: DensityField, K: int, cfg: OptimizerConfig
 ) -> np.ndarray:
-    """Starting station layout per the configured strategy."""
-    if not 1 <= K <= MAX_STATION_COUNT:
-        raise ValueError(f"station count must lie in [1, {MAX_STATION_COUNT}]")
+    """Starting layout of K stations, K a whole number, per the configured strategy."""
+    if isinstance(K, bool) or not (isinstance(K, numbers.Integral) and 1 <= K <= MAX_STATION_COUNT):
+        raise ValueError(f"station count must be a whole number in [1, {MAX_STATION_COUNT}]")
     ndim = d.domain.ndim
     if cfg.init == "explicit":
         pos = _positions(cfg.positions, ndim)
@@ -184,11 +185,7 @@ def initial_positions(
             raise ValueError("explicit positions must lie inside the domain")
         return pos.copy()
 
-    if ndim == 1:
-        pos = d.quantiles(_midpoint_levels(K))[:, None]
-    else:
-        pos = _product_quantiles(d, K)
-
+    pos = _product_quantiles(d, K)
     if cfg.init == "jitter":
         rng = np.random.default_rng(cfg.seed)
         spans = np.array([hi - lo for lo, hi in d.domain.bounds])
@@ -201,17 +198,19 @@ def initial_positions(
 
 
 def _product_quantiles(d: DensityField, K: int) -> np.ndarray:
-    """Quantiles of the marginal CDFs arranged on a near-square product grid."""
-    kx = max(int(round(math.sqrt(K))), 1)
-    ky = math.ceil(K / kx)
-    xg, yg = d.domain.axes
-    v = d.values  # trapezoid marginals: y integrated out for qx, x for qy
-    mx = (np.diff(yg) * (v[:, 1:] + v[:, :-1]) / 2.0).sum(axis=1)
-    my = (np.diff(xg)[:, None] * (v[1:] + v[:-1]) / 2.0).sum(axis=0)
-    qx = _cdf_quantiles(xg, mx, _midpoint_levels(kx))
-    qy = _cdf_quantiles(yg, my, _midpoint_levels(ky))
-    grid = [(x, y) for x in qx for y in qy]
-    return np.asarray(grid[:K], dtype=float)
+    """Equal-mass quantiles of the cell-mass marginals on a near-square product grid, x-major."""
+    ndim = d.domain.ndim
+    if ndim == 1:
+        counts = (K,)
+    else:
+        kx = max(int(round(math.sqrt(K))), 1)
+        counts = (kx, math.ceil(K / kx))
+    masses = d.cell_masses()
+    quantiles = []
+    for k, n in enumerate(counts):
+        marginal = masses.sum(axis=tuple(j for j in range(ndim) if j != k))
+        quantiles.append(_cdf_quantiles(d.domain.axis(k), marginal, _midpoint_levels(n)))
+    return _grid_points(quantiles).reshape(-1, ndim)[:K]
 
 
 def optimize(
@@ -219,9 +218,10 @@ def optimize(
 ) -> PlacementSolution:
     """Alternate assignment and position updates until positions settle.
 
-    Runs until the largest station move drops below the configured
-    tolerance or the iteration budget is exhausted. The power trace has
-    one entry per round and never increases (up to float noise).
+    The positions have settled when an update moves no station by
+    `position_tolerance` times the domain's largest side; that round
+    prices the kept partition and does not assign the cells again. The
+    power trace has one entry per round and never increases (up to float noise).
     """
     if cfg is None:
         cfg = OptimizerConfig()
@@ -230,26 +230,21 @@ def optimize(
     traffic = station_traffic(partition, d)
     report = total_power(pos, partition, d, params)
     trace = [_cost(report, cfg)]
+    tolerance = cfg.position_tolerance * max(hi - lo for lo, hi in d.domain.bounds)
 
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iterations):
-        iterations += 1
+    for iterations in range(1, cfg.max_iterations + 1):
         new_pos = update_positions(pos, traffic, params, cfg.damping, cfg.include_inter)
-        move = float(np.max(np.linalg.norm(new_pos - pos, axis=1)))
-        candidate = voronoi_partition(new_pos, d)
-        cand_traffic = station_traffic(candidate, d)
-        cand_report = _price(new_pos, cand_traffic, params)
-        keep_report = _price(new_pos, traffic, params)
-        if _cost(cand_report, cfg) <= _cost(keep_report, cfg):
-            partition, traffic, report = candidate, cand_traffic, cand_report
-        else:
-            report = keep_report
-        trace.append(_cost(report, cfg))
-
+        converged = float(np.max(np.linalg.norm(new_pos - pos, axis=1))) < tolerance
         pos = new_pos
-        if move < cfg.position_tolerance:
-            converged = True
+        report = _price(pos, traffic, params)
+        if not converged:
+            candidate = voronoi_partition(pos, d)
+            cand_traffic = station_traffic(candidate, d)
+            cand_report = _price(pos, cand_traffic, params)
+            if _cost(cand_report, cfg) <= _cost(report, cfg):
+                partition, traffic, report = candidate, cand_traffic, cand_report
+        trace.append(_cost(report, cfg))
+        if converged:
             break
 
     return PlacementSolution(

@@ -543,3 +543,8 @@ class TestQuantilePlacements:
         nu = Measure1D(grid, np.ones_like(grid))
         with pytest.raises(ValueError):
             quantile_placements(nu, 0)
+        # a fractional K is not a station count, and True is not a count of 1
+        for K in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="whole number"):
+                quantile_placements(nu, K)
+        assert quantile_placements(nu, np.int64(2)).shape == (2,)

@@ -263,6 +263,14 @@ class TestField:
         q = d.quantiles([0.25, 0.5, 0.75])
         assert q == pytest.approx([0.25, 0.5, 0.75], abs=1e-9)
 
+    def test_quantiles_read_the_cell_masses(self):
+        # the cumulative Simpson mass up to a node maps back to that node
+        d = DensityField.from_spec(
+            FunctionSpec("normal", {"mu": 0.0, "sigma": 1.0}), 1.0, Domain.interval(-4.0, 4.0, 41)
+        )
+        got = d.quantiles(np.cumsum(d.cell_masses())[:-1])
+        np.testing.assert_allclose(got, d.domain.axis(0)[1:-1], rtol=0, atol=1e-11)
+
 
 class TestTensorRule:
     """The 2D rule is the 1D Simpson rule applied along each axis."""

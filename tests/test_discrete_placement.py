@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from backhaulopt import discrete_placement
 from backhaulopt.density import DensityField, Domain, FunctionSpec
 from backhaulopt.discrete_placement import (
     MAX_STATION_COUNT,
@@ -305,6 +306,15 @@ class TestOptimize:
         with pytest.raises(ValueError, match=str(MAX_STATION_COUNT)):
             optimize(uniform_field(101), MAX_STATION_COUNT + 1, PARAMS)
         assert initial_positions(uniform_field(101), 256, OptimizerConfig()).shape == (256, 1)
+        # a fractional K is not rounded by a slice, and True is not a count of 1
+        plane = DensityField.from_spec(
+            FunctionSpec("uniform", {}), 1.0, Domain.rectangle((0.0, 1.0), (0.0, 1.0), 11)
+        )
+        for d in (uniform_field(101), plane):
+            for K in (2.5, 3.0, True):
+                with pytest.raises(ValueError, match="whole number"):
+                    optimize(d, K, PARAMS)
+            assert initial_positions(d, np.int64(3), OptimizerConfig()).shape == (3, d.domain.ndim)
 
     def test_2d_runs_and_descends(self):
         d = DensityField.from_spec(
@@ -315,3 +325,35 @@ class TestOptimize:
         sol = optimize(d, 3, PARAMS, OptimizerConfig(init="jitter", seed=2, max_iterations=80))
         assert np.all(np.diff(sol.trace) <= 1e-12)
         assert d.domain.contains(sol.positions).all()
+
+    def test_settled_layout_is_not_assigned_again(self, monkeypatch):
+        # the start and the first move are assigned; the round that finds the
+        # positions settled prices the kept partition and stops
+        calls = []
+        assign = discrete_placement.voronoi_partition
+
+        def counted(pos, d):
+            calls.append(1)
+            return assign(pos, d)
+
+        monkeypatch.setattr(discrete_placement, "voronoi_partition", counted)
+        d = DensityField.from_spec(
+            FunctionSpec("normal", {"mu": (0.0, 0.0), "sigma": (1.0, 1.0)}),
+            1.0,
+            Domain.rectangle((-4.0, 4.0), (-4.0, 4.0), (41, 41)),
+        )
+        sol = optimize(d, 4, PARAMS)
+        assert sol.converged and sol.iterations == 2
+        assert len(calls) == 2
+        assert len(sol.trace) == 3
+
+    @pytest.mark.parametrize("span", [1e-7, 1.0, 16.0, 1e4])
+    def test_tolerance_is_relative_to_the_domain(self, span):
+        # the stop rule scales with the domain: the damped pair reaches the fixed
+        # point 5/12 and 7/12 of any span in the same number of steps
+        d = DensityField.from_spec(FunctionSpec("uniform", {}), 1.0, Domain.interval(0.0, span, 2001))
+        sol = optimize(d, 2, PARAMS, OptimizerConfig(damping=0.5))
+        assert sol.converged and sol.iterations == 24
+        np.testing.assert_allclose(
+            np.sort(sol.positions.ravel()) / span, [5.0 / 12.0, 7.0 / 12.0], rtol=0, atol=1e-8
+        )
