@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuum import dilation_factor, optimal_station_density
-from .density import DensityField
+from .density import DensityField, _check_count, _non_numeric
 from .power_model import RadioParams
 
 __all__ = [
@@ -225,8 +225,9 @@ def brute_force_optimize(
     """
     if d.domain.ndim != 1:
         raise ValueError("the brute-force search is 1D")
-    if not 1 <= K <= MAX_STATIONS:
-        raise ValueError(f"brute force supports 1 <= K <= {MAX_STATIONS}")
+    _check_count(K, "station count", 1, MAX_STATIONS)
+    if _non_numeric(candidates):
+        raise ValueError("candidates must be numeric, not strings or booleans")
     cand = np.unique(np.asarray(candidates, dtype=float).reshape(-1))
     if cand.size > MAX_CANDIDATES:
         raise ValueError(f"candidate grid limited to {MAX_CANDIDATES} points")

@@ -26,7 +26,7 @@ from .power_model import RadioParams
 __all__ = ["main"]
 
 MODES = ("discrete", "continuum", "closed_form", "compare")
-SCENARIO_KEYS = ("sigma2", "theta", "N", "density", "demand", "mode", "output_dir")
+SCENARIO_KEYS = ("sigma2", "theta", "density", "demand", "mode", "output_dir")
 
 # the reproduce-figures scenarios: throughputs from the reference
 # simulations, including 24 where the dilation is ~2.4e-7
@@ -67,9 +67,9 @@ def _object(obj, context, keys):
 def _number(key, value, kind=float):
     """A finite scenario number converted by `kind`. Counts use
     `operator.index`, which rejects floats such as 2.5 or 1e308 instead
-    of truncating them. No kind takes a JSON boolean."""
-    if isinstance(value, bool):
-        raise ScenarioError(f"{key!r} must be a number, not a boolean")
+    of truncating them. No kind takes a JSON string or boolean."""
+    if isinstance(value, (str, bool)):
+        raise ScenarioError(f"{key!r} must be a number, not {value!r}")
     try:
         value = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -129,8 +129,6 @@ def _build_field(scenario, grid) -> DensityField:
 def _parse_scenario(scenario, grid, seed):
     _object(scenario, "scenario", SCENARIO_KEYS)
     sigma2 = _number("sigma2", _require(scenario, "sigma2", "scenario"))
-    if "N" in scenario and _number("N", scenario["N"], operator.index) < 0:
-        raise ScenarioError("N must be nonnegative")
 
     mode = _object(_require(scenario, "mode", "scenario"), "mode", MODES)
     if len(mode) != 1:
@@ -157,7 +155,7 @@ def _run_discrete(d, params, outdir, quiet, K, **options) -> int:
     _write_csv(
         outdir / "placement.csv",
         f"index,{coord_cols},m_i,intra_i",
-        np.arange(K), *pos.T, solution.traffic.per_station, report.intra_per_cell,
+        np.arange(K), *pos.T, report.traffic.per_station, report.intra_per_cell,
     )
     i, j = np.nonzero(~np.eye(K, dtype=bool))  # ordered pairs, row-major
     d_ij = np.sqrt(np.sum((pos[i] - pos[j]) ** 2, axis=1))

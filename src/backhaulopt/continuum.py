@@ -14,13 +14,12 @@ optimizer only.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .density import CONTAINMENT_TOL, DensityField, Domain, _midpoint_levels, _refine
+from .density import CONTAINMENT_TOL, DensityField, Domain, _check_count, _midpoint_levels, _non_numeric, _refine
 from .power_model import RadioParams
 
 __all__ = [
@@ -280,10 +279,9 @@ def iterate_fixed_point(
     diverges that way ends early with converged False and the last
     representable iterate.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
+    _check_count(max_steps, "max_steps", 1)
+    if _non_numeric(tolerance) or not tolerance > 0:
+        raise ValueError("tolerance must be a positive number")
     nu = nu0
     last_change = math.inf
     for step in range(1, max_steps + 1):
@@ -324,6 +322,5 @@ def quantile_placements(nu: Measure1D, K: int) -> np.ndarray:
     Positions sit at the (2i - 1) / (2K) quantiles of the measure
     normalized to a probability measure, i = 1..K; K is a whole number.
     """
-    if isinstance(K, bool) or not (isinstance(K, numbers.Integral) and K >= 1):
-        raise ValueError("station count must be a whole number, at least 1")
+    _check_count(K, "station count", 1)
     return nu.quantiles(_midpoint_levels(K))

@@ -16,6 +16,7 @@ midpoints, and one rule covers 1D and 2D: the 1D Simpson rule
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -60,6 +61,8 @@ class Domain:
     resolution: tuple[int, ...]
 
     def __post_init__(self):
+        if _non_numeric(self.bounds):
+            raise ValueError("domain bounds must be numeric, not strings or booleans")
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         try:
             resolution = tuple(operator.index(r) for r in self.resolution)
@@ -198,15 +201,22 @@ class FunctionSpec:
                 f"unknown parameter {unknown[0]!r} for kind {self.kind!r}; it takes {takes}"
             )
         for name, value in self.params.items():
-            if _holds_bool(value):
-                raise ValueError(f"parameter {name!r} of kind {self.kind!r} must be numeric, not boolean")
+            if _non_numeric(value):
+                raise ValueError(f"{self.kind} parameter {name!r} must be numeric, not a string or boolean")
 
 
-def _holds_bool(value) -> bool:
-    """Whether a parameter is or contains a boolean, which would read as 1 or 0."""
+def _non_numeric(value) -> bool:
+    """Whether a number, or any entry of a list of them, is a string or boolean, which float() reads."""
     if isinstance(value, (list, tuple)):
-        return any(map(_holds_bool, value))
-    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
+        return any(map(_non_numeric, value))
+    return isinstance(value, (str, bool)) or getattr(value, "dtype", np.dtype(float)).kind in "bUS"
+
+
+def _check_count(value, name: str, least: int, most: float = math.inf) -> None:
+    """Raise ValueError unless `value` is a whole number in [least, most]; True is not a count."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and least <= value <= most):
+        span = f"in [{least}, {most}]" if most < math.inf else f"at least {least}"
+        raise ValueError(f"{name} must be a whole number, {span}")
 
 
 def _per_axis(value, ndim: int, name: str) -> np.ndarray:
@@ -372,7 +382,7 @@ class DensityField:
     """Probability density sampled on a domain grid.
 
     Carries the constant per-unit-mass throughput the density absorbs, the
-    node samples, and (when available) the closed form it came from.
+    Simpson samples, and (when available) the closed form it came from.
     Instances are immutable by convention; all methods are read-only.
 
     The constructor takes nonnegative samples at every Simpson point of
@@ -383,7 +393,7 @@ class DensityField:
 
     Attributes:
         domain: the gridded support.
-        values: density samples at the grid nodes.
+        values: node samples, a read-only view of the Simpson samples.
         throughput: constant per-unit-mass throughput, > 0.
         analytic: the closed-form spec behind the samples, None for
             gridded or folded data.
@@ -413,7 +423,7 @@ class DensityField:
         self._scale = 1.0 / mass
         self._stencil = self._scale * samples
         np.maximum(self._stencil, 0.0, out=self._stencil)  # rounding-level negatives
-        self.values = np.ascontiguousarray(self._stencil[np.s_[::2,] * domain.ndim])
+        self._stencil.flags.writeable = False  # `values` is a view of it
         self._cell_mass = _simpson(self._stencil, domain.spacings)
         self._moment_cache: dict[str, np.ndarray] = {}
 
@@ -449,6 +459,11 @@ class DensityField:
         for k in range(domain.ndim):
             samples = _refine(samples, k)
         return DensityField(domain, samples, throughput)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Density samples at the grid nodes, a read-only view of the Simpson samples."""
+        return self._stencil[np.s_[::2,] * self.domain.ndim]
 
     # ------------------------------------------------------------------- eval
 

@@ -16,13 +16,12 @@ monotone by construction.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .density import DensityField, _cdf_quantiles, _grid_points, _midpoint_levels
+from .density import DensityField, _cdf_quantiles, _check_count, _grid_points, _midpoint_levels, _non_numeric
 from .power_model import (
     CellPartition,
     PowerReport,
@@ -71,13 +70,11 @@ class OptimizerConfig:
     include_inter: bool = True
 
     def __post_init__(self):
-        for name, least in (("max_iterations", 1), ("seed", 0)):
-            value = getattr(self, name)  # a bool is an Integral, but not a count
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
-                raise ValueError(f"{name} must be a whole number, at least {least}")
-        for name in ("position_tolerance", "damping"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, not a boolean")
+        _check_count(self.max_iterations, "max_iterations", 1)
+        _check_count(self.seed, "seed", 0)
+        for name in ("position_tolerance", "damping", "positions"):
+            if _non_numeric(getattr(self, name)):
+                raise ValueError(f"{name} must be numeric, not a string or boolean")
         if not 0 < self.position_tolerance < math.inf:
             raise ValueError("position tolerance must be positive and finite")
         if not 0.0 < self.damping <= 1.0:
@@ -92,11 +89,10 @@ class OptimizerConfig:
 
 @dataclass
 class PlacementSolution:
-    """Result of one optimizer run."""
+    """Result of one optimizer run; `report.traffic` holds the station sums of `partition`."""
 
     positions: np.ndarray
     partition: CellPartition
-    traffic: TrafficVector
     report: PowerReport
     trace: np.ndarray
     converged: bool
@@ -174,8 +170,7 @@ def initial_positions(
     d: DensityField, K: int, cfg: OptimizerConfig
 ) -> np.ndarray:
     """Starting layout of K stations, K a whole number, per the configured strategy."""
-    if isinstance(K, bool) or not (isinstance(K, numbers.Integral) and 1 <= K <= MAX_STATION_COUNT):
-        raise ValueError(f"station count must be a whole number in [1, {MAX_STATION_COUNT}]")
+    _check_count(K, "station count", 1, MAX_STATION_COUNT)
     ndim = d.domain.ndim
     if cfg.init == "explicit":
         pos = _positions(cfg.positions, ndim)
@@ -227,22 +222,20 @@ def optimize(
         cfg = OptimizerConfig()
     pos = initial_positions(d, K, cfg)
     partition = voronoi_partition(pos, d)
-    traffic = station_traffic(partition, d)
     report = total_power(pos, partition, d, params)
     trace = [_cost(report, cfg)]
     tolerance = cfg.position_tolerance * max(hi - lo for lo, hi in d.domain.bounds)
 
     for iterations in range(1, cfg.max_iterations + 1):
-        new_pos = update_positions(pos, traffic, params, cfg.damping, cfg.include_inter)
+        new_pos = update_positions(pos, report.traffic, params, cfg.damping, cfg.include_inter)
         converged = float(np.max(np.linalg.norm(new_pos - pos, axis=1))) < tolerance
         pos = new_pos
-        report = _price(pos, traffic, params)
+        report = _price(pos, report.traffic, params)
         if not converged:
             candidate = voronoi_partition(pos, d)
-            cand_traffic = station_traffic(candidate, d)
-            cand_report = _price(pos, cand_traffic, params)
+            cand_report = _price(pos, station_traffic(candidate, d), params)
             if _cost(cand_report, cfg) <= _cost(report, cfg):
-                partition, traffic, report = candidate, cand_traffic, cand_report
+                partition, report = candidate, cand_report
         trace.append(_cost(report, cfg))
         if converged:
             break
@@ -250,7 +243,6 @@ def optimize(
     return PlacementSolution(
         positions=pos,
         partition=partition,
-        traffic=traffic,
         report=report,
         trace=np.asarray(trace),
         converged=converged,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityField, Domain
+from .density import DensityField, Domain, _non_numeric
 
 __all__ = [
     "RadioParams",
@@ -34,16 +34,16 @@ class SingularGainError(ValueError):
 
 @dataclass(frozen=True)
 class RadioParams:
-    """Link-budget constants: receiver noise power and per-unit-mass throughput."""
+    """Link-budget constants, positive and finite: noise power and per-unit-mass throughput."""
 
     noise_power: float
     throughput: float
 
     def __post_init__(self):
-        if not self.noise_power > 0:
-            raise ValueError("noise power must be positive")
-        if not self.throughput > 0:
-            raise ValueError("throughput must be positive")
+        for name in ("noise_power", "throughput"):
+            value = getattr(self, name)
+            if _non_numeric(value) or not 0 < value < math.inf:
+                raise ValueError(f"{name.replace('_', ' ')} must be a positive finite number")
 
     @property
     def shannon_factor(self) -> float:
@@ -101,6 +101,8 @@ class TrafficVector:
 
 def station_traffic(partition: CellPartition, d: DensityField) -> TrafficVector:
     """Reduce a partition's cells to per-station traffic and moment sums."""
+    if partition.domain != d.domain:
+        raise ValueError("the partition and the density must share one grid")
     assign = partition.assignment.ravel()
     mass, *first, second = (
         np.bincount(assign, weights=w.ravel(), minlength=partition.stations)
@@ -118,7 +120,7 @@ class PowerReport:
 
     `intra_per_cell` holds the access power of each station's cell, one
     entry per station; `inter_per_pair` the backhaul power of each
-    ordered station pair.
+    ordered station pair; `traffic` the station sums it was priced from.
     """
 
     intra_per_cell: np.ndarray
@@ -126,6 +128,7 @@ class PowerReport:
     intra_total: float
     inter_total: float
     total: float
+    traffic: TrafficVector
 
 
 def total_power(
@@ -179,10 +182,4 @@ def _price(pos: np.ndarray, tv: TrafficVector, params: RadioParams) -> PowerRepo
     total = intra_total + inter_total
     if not math.isfinite(total):
         raise ValueError("total power overflows; the power scale is too large")
-    return PowerReport(
-        intra_per_cell=intra,
-        inter_per_pair=inter,
-        intra_total=intra_total,
-        inter_total=inter_total,
-        total=total,
-    )
+    return PowerReport(intra, inter, intra_total, inter_total, total, tv)

@@ -197,6 +197,17 @@ class TestBruteForce:
         for K in (0, 4):
             with pytest.raises(ValueError):
                 brute_force_optimize(d, K, PARAMS, cand)
+        # True is not a count of 1, nor 2.0 one of 2
+        for K in (True, 2.0):
+            with pytest.raises(ValueError, match="whole number"):
+                brute_force_optimize(d, K, PARAMS, cand)
+
+    def test_candidates_must_be_numbers(self):
+        # numpy reads True and False as 1 and 0, and "0.5" as 0.5
+        d = uniform_field(101)
+        for cand in ([True, False, 0.5], ["0.2", 0.5], np.array(["0.2", "0.5"])):
+            with pytest.raises(ValueError, match="numeric"):
+                brute_force_optimize(d, 1, PARAMS, cand)
 
     def test_candidate_count_limit(self):
         d = uniform_field(101)

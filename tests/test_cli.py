@@ -192,7 +192,7 @@ class TestDiscreteMode:
         assert [index(r[0]) for r in placement] == list(range(K))
         for i, r in enumerate(placement):
             assert [float(v) for v in r[1:]] == [
-                *pos[i], sol.traffic.per_station[i], sol.report.intra_per_cell[i],
+                *pos[i], sol.report.traffic.per_station[i], sol.report.intra_per_cell[i],
             ]
 
         pairs = rows("pairs.csv")
@@ -555,7 +555,7 @@ JUNK_MODES = {
 }
 
 JUNK_KEYS = {
-    "scenario": ("sigma2", "theta", "N", "density", "mode", "output_dir"),
+    "scenario": ("sigma2", "theta", "density", "mode", "output_dir"),
     "density": ("kind", "params", "domain"),
     "domain": ("min", "max", "resolution"),
     "discrete": (
@@ -624,7 +624,6 @@ class TestValidation:
         "overrides",
         [
             {"sigma2": [1]},
-            {"N": None},
             {"sigma2": "inf"},
             {"theta": "inf"},
             {"density": centered_density(), "mode": {"continuum": {"tolerance": None}}},
@@ -680,7 +679,6 @@ class TestValidation:
             {"mode": {"discrete": {"K": 1, "seed": True}}},
             {"density": centered_density(), "mode": {"compare": {"K": [1], "candidates": True}}},
             {"density": centered_density(), "mode": {"compare": {"K": [True]}}},
-            {"N": True},
             {"theta": True},
             {"sigma2": True},
             {"mode": {"discrete": {"K": 1, "max_iterations": True}}},
@@ -691,12 +689,23 @@ class TestValidation:
                 "density": dict(centered_density(), params={"mu": 0.0, "sigma": True, "a": -1.0, "b": 1.0}),
                 "mode": {"closed_form": {}},
             },
-            # N is a count: a JSON string, and 2.5, which used to run on 2
-            {"N": "5"},
-            {"N": 2.5},
+            # JSON strings, which used to pass as the numbers they spell, and
+            # booleans where a list or a domain reads numbers
+            {"sigma2": "2.0"},
+            {"theta": "1"},
+            {"density": dict(uniform_density(), domain={"min": False, "max": True})},
+            {"density": dict(uniform_density(), domain={"bounds": [["0", 1.0], [0.0, 1.0]]})},
+            {
+                "density": dict(centered_density(), kind="normal", params={"mu": 0.0, "sigma": "1"}),
+                "mode": {"closed_form": {}},
+            },
+            {"density": centered_density(), "mode": {"continuum": {"tolerance": "1e-8"}}},
+            {"mode": {"discrete": {"K": 2, "init": "explicit", "positions": ["0.2", "0.7"]}}},
+            {"density": centered_density(), "mode": {"compare": {"K": [1], "candidates": [True, False, -0.5]}}},
+            {"mode": {"discrete": {"K": 1, "damping": "0.5"}}},
         ],
         ids=[
-            "sigma2-list", "N-null", "sigma2-inf", "theta-inf",
+            "sigma2-list", "sigma2-inf", "theta-inf",
             "tolerance-null", "max_steps-inf", "max_iterations-1e308", "resolution-inf",
             "output_dir-null", "theta-1e308", "candidates-inf", "tolerance-inf",
             "position_tolerance-inf", "positions-nan", "sigma2-1e308-overflow",
@@ -706,9 +715,11 @@ class TestValidation:
             "positions-without-explicit", "positions-outside-domain",
             "tolerance-negative", "tolerance-zero", "closed_form-off-centre-tiny",
             "compare-off-centre-tiny", "K-true", "seed-true", "candidates-true",
-            "compare-K-true", "N-true", "theta-true", "sigma2-true",
+            "compare-K-true", "theta-true", "sigma2-true",
             "max_iterations-true", "max_steps-true", "damping-true",
-            "position_tolerance-true", "sigma-true", "N-string", "N-2.5",
+            "position_tolerance-true", "sigma-true", "sigma2-string", "theta-string",
+            "min-max-bools", "bounds-string", "sigma-string", "tolerance-string",
+            "positions-string", "candidates-bools", "damping-string",
         ],
     )
     def test_bad_numbers_rejected(self, tmp_path, capsys, overrides):
@@ -769,8 +780,11 @@ class TestValidation:
             assert "Traceback" not in err.getvalue()
             assert os.listdir(workdir) == ["scenario.json"]
 
-    def test_negative_terminal_count(self, tmp_path):
-        assert main(["run", write_scenario(tmp_path, self.base(tmp_path, N=-5))]) == 3
+    def test_terminal_count_is_an_unknown_key(self, tmp_path, capsys):
+        # the solvers never read a terminal count, so a scenario does not take one
+        assert main(["run", write_scenario(tmp_path, self.base(tmp_path, N=5))]) == 3
+        assert "unknown key 'N'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_mode(self, tmp_path):
         obj = self.base(tmp_path, mode={"annealing": {}})

@@ -474,6 +474,13 @@ class TestIterate:
         f = standard_normal_field()
         with pytest.raises(ValueError):
             iterate_fixed_point(f, Measure1D.from_density(f, 1.0), RadioParams(1.0, 1.0), max_steps=0)
+        # a step count is a whole number, True is not a count of 1, nor a tolerance of 1
+        nu0, params = Measure1D.from_density(f, 1.0), RadioParams(1.0, 1.0)
+        for max_steps in (True, 2.5, 2.0):
+            with pytest.raises(ValueError, match="whole number"):
+                iterate_fixed_point(f, nu0, params, max_steps=max_steps)
+        with pytest.raises(ValueError, match="tolerance"):
+            iterate_fixed_point(f, nu0, params, tolerance=True)
 
 
 class TestClosedForm:

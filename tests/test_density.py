@@ -50,6 +50,14 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain.interval(1.0, 0.0)
 
+    def test_bounds_must_be_numbers(self):
+        # float() reads "1" and True as numbers
+        for lo, hi in (("0", 1.0), (False, True), (0.0, np.array(["1"]))):
+            with pytest.raises(ValueError, match="numeric"):
+                Domain.interval(lo, hi, 11)
+        with pytest.raises(ValueError, match="numeric"):
+            Domain.rectangle((0.0, 1.0), (0.0, "2"), 5)
+
     def test_resolution_minimum(self):
         with pytest.raises(ValueError):
             Domain.interval(0.0, 1.0, 1)
@@ -217,6 +225,17 @@ class TestField:
         np.testing.assert_allclose(scaled.cell_masses(), d.cell_masses(), rtol=1e-15, atol=0)
         np.testing.assert_array_equal(d.values, d._stencil[::2, ::2])
 
+    @pytest.mark.parametrize(
+        "domain", [Domain.interval(0.0, 1.0, 11), Domain.rectangle((0.0, 1.0), (0.0, 2.0), (5, 4))]
+    )
+    def test_node_values_are_a_view_of_the_samples(self, domain):
+        # the node values are every other Simpson sample, kept once
+        d = DensityField.from_spec(FunctionSpec("uniform", {}), 1.0, domain)
+        assert not d.values.flags.owndata
+        assert np.shares_memory(d.values, d._stencil)
+        with pytest.raises(ValueError, match="read-only"):
+            d.values[0] = 1.0
+
     def test_wrongly_shaped_samples_rejected(self):
         # node values in place of Simpson-point samples would integrate
         # only part of the grid
@@ -365,6 +384,12 @@ class TestFoldDemand:
                     FunctionSpec("affine", {"slope": -4.0, "intercept": 1.0}),
                 )
             )
+
+    def test_params_must_be_numbers(self):
+        # float() and numpy read strings and booleans as numbers
+        for sigma in ("1", True, ["1", 1.0], np.array([True, False])):
+            with pytest.raises(ValueError, match="numeric"):
+                FunctionSpec("normal", {"mu": 0.0, "sigma": sigma})
 
     def test_kind_validation(self):
         dom = Domain.interval(0.0, 1.0, 101)

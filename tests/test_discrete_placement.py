@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from backhaulopt import discrete_placement
+from backhaulopt import discrete_placement, power_model
 from backhaulopt.density import DensityField, Domain, FunctionSpec
 from backhaulopt.discrete_placement import (
     MAX_STATION_COUNT,
@@ -218,6 +218,13 @@ class TestConfig:
             OptimizerConfig(damping=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(damping=1.5)
+        # float() and numpy read strings and booleans as numbers
+        for field, value in (("damping", "0.5"), ("position_tolerance", "1e-8")):
+            with pytest.raises(ValueError, match=field):
+                OptimizerConfig(**{field: value})
+        for positions in (["0.2", "0.7"], [True, 0.5], np.array(["0.2", "0.7"])):
+            with pytest.raises(ValueError, match="positions"):
+                OptimizerConfig(init="explicit", positions=positions)
         with pytest.raises(ValueError):
             OptimizerConfig(init="random")
         with pytest.raises(ValueError):
@@ -346,6 +353,30 @@ class TestOptimize:
         assert sol.converged and sol.iterations == 2
         assert len(calls) == 2
         assert len(sol.trace) == 3
+
+    def test_each_partition_is_reduced_once(self, monkeypatch):
+        # the start partition is reduced by its pricing and the first move's
+        # candidate by its own; the report carries the sums on, so a
+        # 2-iteration solve reduces twice
+        calls = []
+        reduce = power_model.station_traffic
+
+        def counted(partition, d):
+            calls.append(1)
+            return reduce(partition, d)
+
+        monkeypatch.setattr(power_model, "station_traffic", counted)
+        monkeypatch.setattr(discrete_placement, "station_traffic", counted)
+        d = DensityField.from_spec(
+            FunctionSpec("normal", {"mu": (0.0, 0.0), "sigma": (1.0, 1.0)}),
+            1.0,
+            Domain.rectangle((-4.0, 4.0), (-4.0, 4.0), (41, 41)),
+        )
+        sol = optimize(d, 4, PARAMS)
+        assert sol.converged and sol.iterations == 2
+        assert len(calls) == 2
+        assert not hasattr(sol, "traffic")
+        np.testing.assert_array_equal(sol.report.traffic.mass, reduce(sol.partition, d).mass)
 
     @pytest.mark.parametrize("span", [1e-7, 1.0, 16.0, 1e4])
     def test_tolerance_is_relative_to_the_domain(self, span):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,11 @@ class TestIntraAt:
             RadioParams(noise_power=-1.0, throughput=1.0)
         with pytest.raises(ValueError):
             RadioParams(noise_power=1.0, throughput=0.0)
+        # infinite values used to fail only inside a solve, and True read as 1
+        bad = ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (True, 1.0), (1.0, "1"))
+        for noise_power, throughput in bad:
+            with pytest.raises(ValueError, match="positive finite number"):
+                RadioParams(noise_power, throughput)
 
 
 class TestCellQuantities:
@@ -166,6 +173,19 @@ class TestCellQuantities:
         partition = CellPartition(d.domain, np.where(inside, 0, 1), 2)
         tv = station_traffic(partition, d)
         assert tv.per_station[0] == pytest.approx(NORMAL_MASS_1SIGMA, abs=1e-9)
+
+    def test_partition_on_another_grid_rejected(self):
+        # cells are matched by index, so a partition made on another grid
+        # would price the wrong cells
+        d = uniform_field(201)
+        other = DensityField.from_spec(FunctionSpec("uniform", {}), 1.0, Domain.interval(0.0, 2.0, 201))
+        partition = voronoi_partition(np.array([0.2, 0.8]), other)
+        for price in (
+            lambda: station_traffic(partition, d),
+            lambda: total_power(np.array([0.2, 0.8]), partition, d, RadioParams(1.0, 1.0)),
+        ):
+            with pytest.raises(ValueError, match="one grid"):
+                price()
 
     def test_station_traffic_partitions_throughput(self):
         d = normal_field(throughput=3.0)

@@ -84,8 +84,13 @@ def test_coincident_positions_are_rejected(instance):
 
 
 def assert_fields_equal(a, b):
+    """Every field equal, recursing into nested dataclasses such as a report's traffic."""
     for f in dataclasses.fields(a):
-        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(x):
+            assert_fields_equal(x, y)
+        else:
+            np.testing.assert_array_equal(x, y, err_msg=f.name)
 
 
 @SETTINGS
@@ -99,10 +104,10 @@ def test_optimize_keeps_its_station_sums_consistent(instance):
         assume(False)
     rise = np.diff(sol.trace)
     assert np.all(rise <= 1e-12 * np.maximum(1.0, np.abs(sol.trace[:-1])))
-    assert sol.traffic.mass.sum() == pytest.approx(1.0, rel=1e-12)
-    assert sol.traffic.total == pytest.approx(d.throughput, rel=1e-12)
+    assert sol.report.traffic.mass.sum() == pytest.approx(1.0, rel=1e-12)
+    assert sol.report.traffic.total == pytest.approx(d.throughput, rel=1e-12)
     # the sums and price the optimizer kept are those of its final partition
-    assert_fields_equal(sol.traffic, station_traffic(sol.partition, d))
+    assert_fields_equal(sol.report.traffic, station_traffic(sol.partition, d))
     assert_fields_equal(sol.report, total_power(sol.positions, sol.partition, d, params))
 
 
@@ -148,7 +153,7 @@ def test_converged_positions_are_the_update_fixed_point(instance, damping):
     # fraction `damping` of the way to the fixed point
     span = max(hi - lo for lo, hi in d.domain.bounds)
     bound = (1.0 - damping) / damping * cfg.position_tolerance * span + 1e-12
-    again = update_positions(sol.positions, sol.traffic, params)
+    again = update_positions(sol.positions, sol.report.traffic, params)
     np.testing.assert_allclose(again, sol.positions, rtol=0, atol=bound)
 
 
