@@ -44,7 +44,8 @@ __all__ = [
 ]
 
 #: Largest station count `optimize` accepts; it bounds the K x K pair
-#: arrays of assignment and pricing (K x K x 2 floats are 16 MiB).
+#: arrays of pricing (K x K x 2 floats are 16 MiB). Assignment's bound
+#: arrays hold at most half an entry per cell whatever K is.
 MAX_STATION_COUNT = 1024
 
 
@@ -103,32 +104,86 @@ def voronoi_partition(positions, d: DensityField) -> CellPartition:
     """Assign every grid cell to its nearest station (by cell center).
 
     Ties go to the lowest station index. Non-finite positions raise
-    ValueError and duplicate ones SingularGainError. The squared
-    distance is built one axis at a time and one station at a time with
-    a running minimum, so no cells x K array is made.
+    ValueError and duplicate ones SingularGainError. The grid is cut into
+    tiles, and each station runs a running minimum of its squared
+    distances over the box of tiles where it can be nearest
+    (`_candidate_boxes`); a station's distance to a cell is the same
+    float wherever it is computed, so the partition is the one a sweep of
+    every station over every cell gives.
     """
     pos = _positions(positions, d.domain.ndim)
     if not np.all(np.isfinite(pos)):
         raise ValueError("station positions must be finite")
     K = pos.shape[0]
-    if K > 1:
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist2 = np.sum(diff * diff, axis=-1)
-        np.fill_diagonal(dist2, np.inf)
-        if dist2.min() == 0.0:
-            raise SingularGainError(
-                "duplicate station positions; damping below 1 or jitter init avoids this"
-            )
+    if len(set(map(tuple, pos.tolist()))) < K:
+        raise SingularGainError(
+            "duplicate station positions; damping below 1 or jitter init avoids this"
+        )
     mids = [0.5 * (ax[:-1] + ax[1:]) for ax in d.domain.axes]
     best = np.full(d.domain.cell_counts, np.inf)
     assignment = np.zeros(d.domain.cell_counts, dtype=int)
-    for k, p in enumerate(pos):
-        sq = [(m - c) ** 2 for m, c in zip(mids, p)]
-        d2 = sq[0] if len(sq) == 1 else np.add.outer(sq[0], sq[1])
-        closer = d2 < best
-        np.minimum(best, d2, out=best)
-        assignment[closer] = k
+    # far stations square to inf, which still orders correctly
+    with np.errstate(over="ignore"):
+        for k, box in _candidate_boxes(pos, mids):
+            sq = [(m[s] - c) ** 2 for m, s, c in zip(mids, box, pos[k])]
+            d2 = sq[0] if len(sq) == 1 else np.add.outer(*sq)
+            near = best[box]
+            closer = d2 < near
+            np.minimum(near, d2, out=near)
+            assignment[box][closer] = k
     return CellPartition(d.domain, assignment, K)
+
+
+#: Cells per tile along each axis of a 1D and of a 2D grid, the fastest
+#: sizes on 200 000 cells in 1D and 200 x 200 in 2D.
+_TILE_CELLS = (1024, 8)
+
+
+def _candidate_boxes(pos: np.ndarray, mids) -> list:
+    """`(k, box)`, in index order, for every station k that can be nearest
+    to some cell; `box` slices the smallest box of tiles that holds every
+    tile where it can be.
+
+    From the first and last cell center of a tile along each axis, the
+    station's squared distances to the tile's cells lie between a low and
+    a high bound, computed with the same rounded operations as the
+    distances, so they hold exactly. Station k can be nearest in tile t
+    only if `low[k, t] <= min_j high[j, t]`, and `<=` keeps a tied
+    lower-index station. An axis of n cells gets at most `n / (2K)**(1/ndim)`
+    tiles, so each (K, tiles) bound array holds at most half an entry per
+    cell; a grid of one tile is not bounded at all.
+    """
+    K, ndim = pos.shape
+    counts = [
+        max(1, min(len(m) // _TILE_CELLS[ndim - 1], int(len(m) / (2 * K) ** (1.0 / ndim))))
+        for m in mids
+    ]
+    if max(counts) == 1:
+        return [(k, (slice(None),) * ndim) for k in range(K)]
+    edges = [np.arange(t + 1) * len(m) // t for m, t in zip(mids, counts)]
+    near, far = zip(*(_tile_offsets(m, e, c) for m, e, c in zip(mids, edges, pos.T)))
+    low = near[0] if ndim == 1 else near[0][:, :, None] + near[1][:, None, :]
+    high = far[0] if ndim == 1 else far[0][:, :, None] + far[1][:, None, :]
+    candidate = low <= high.min(axis=0)
+    hits = [candidate.any(axis=tuple(j + 1 for j in range(ndim) if j != a)) for a in range(ndim)]
+    # per axis, the cells from each station's first to its last candidate tile
+    spans = [
+        map(slice, e[h.argmax(axis=1)].tolist(), e[len(e) - 1 - h[:, ::-1].argmax(axis=1)].tolist())
+        for h, e in zip(hits, edges)
+    ]
+    boxes = list(zip(*spans))
+    return [(k, boxes[k]) for k in np.flatnonzero(hits[0].any(axis=1)).tolist()]
+
+
+def _tile_offsets(mids: np.ndarray, edges: np.ndarray, coords: np.ndarray):
+    """Least and greatest `(mid - c)**2` over each tile's cell centers, per coordinate c.
+
+    Centers increase along an axis, so the offsets of a tile's cells lie
+    between those of its first and last center, and rounding keeps that order.
+    """
+    first = mids[edges[:-1]] - coords[:, None]
+    last = mids[edges[1:] - 1] - coords[:, None]
+    return np.clip(0.0, first, last) ** 2, np.maximum(-first, last) ** 2
 
 
 def update_positions(

@@ -51,6 +51,18 @@ class TestVoronoi:
         partition = voronoi_partition(np.array([0.4, 0.6]), d)
         assert partition.assignment.ravel()[0] == 0
 
+    def test_tie_at_a_tile_bound_goes_to_lowest_index(self):
+        # 4096 unit cells, cut into tiles of 1024: over the first tile,
+        # station 1's farthest squared distance (511.5**2, to the cell
+        # centered at 1023.5) equals station 0's nearest, so station 0 ties
+        # there and must not be pruned from that tile
+        d = DensityField.from_spec(
+            FunctionSpec("uniform", {}), 1.0, Domain.interval(0.0, 4096.0, 4097)
+        )
+        partition = voronoi_partition(np.array([1535.0, 512.0]), d)
+        expected = np.where(d.domain.cell_centers() < 1023.5, 1, 0)
+        np.testing.assert_array_equal(partition.assignment, expected)
+
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             voronoi_partition(np.array([0.5, 0.5]), uniform_field(101))
@@ -76,20 +88,23 @@ class TestVoronoi:
             voronoi_partition(np.array([[0.2, 0.3], [0.5, bad]]), d2)
 
     def test_memory_is_linear_in_cells(self):
-        d = DensityField.from_spec(
-            FunctionSpec("uniform", {}), 1.0, Domain.rectangle((0.0, 1.0), (0.0, 1.0), 201)
-        )
-        pos = np.random.default_rng(5).uniform(0.0, 1.0, (64, 2))
-        cells = 200 * 200
-        tracemalloc.start()
-        try:
-            partition = voronoi_partition(pos, d)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.bincount(partition.assignment.ravel()).sum() == cells
-        # a cells x K x 2 float tensor alone would take 64 * 2 = 128 floats per cell
-        assert peak < 8 * cells * 8
+        for resolution in [(201, 201), (20_001,)]:
+            for K in [64, MAX_STATION_COUNT]:
+                ndim = len(resolution)
+                domain = Domain(((0.0, 1.0),) * ndim, resolution)
+                d = DensityField.from_spec(FunctionSpec("uniform", {}), 1.0, domain)
+                pos = np.random.default_rng(5).uniform(0.0, 1.0, (K, ndim))
+                cells = int(np.prod(domain.cell_counts))
+                tracemalloc.start()
+                try:
+                    partition = voronoi_partition(pos, d)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert np.bincount(partition.assignment.ravel()).sum() == cells
+                # a cells x K x ndim float tensor would take K * ndim floats per
+                # cell, and K x K pair distances at MAX_STATION_COUNT more than 26
+                assert peak < 8 * cells * 8, (resolution, K)
 
 
 class TestUpdate:

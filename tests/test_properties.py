@@ -2,6 +2,7 @@
 the station measures on random small instances."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -166,38 +167,65 @@ def dense_assignment(pos, d):
 
 @st.composite
 def station_layouts(draw):
-    """A 1D or 2D grid and 1 to 8 distinct stations. On a lattice draw the
-    grid (at most 9 nodes per axis) has integer nodes and every station
-    sits on a node or a cell center, so many cell centers are exactly
-    equidistant from two or more stations; otherwise bounds and stations
-    are random."""
+    """A 1D or 2D grid and distinct stations, shuffled. A small draw has at
+    most 41 nodes per axis (9 on a lattice) and 1 to 8 stations in the
+    domain. A tiled draw has 2049 to 5001 nodes in 1D or 17 to 151 per axis
+    in 2D, so that assignment cuts every axis into several tiles, and 1 to
+    64 stations, some up to a quarter of the span outside the domain. On a
+    lattice draw the grid has integer nodes and every station sits on a
+    half-integer point, so many cell centers are exactly equidistant from
+    two or more stations; otherwise bounds and stations are random."""
     ndim = draw(st.sampled_from([1, 2]))
     lattice = draw(st.booleans())
-    resolution = tuple(draw(st.integers(2, 9 if lattice else 41)) for _ in range(ndim))
+    tiled = draw(st.booleans())
+    if tiled:
+        nodes = st.integers(2049, 5001) if ndim == 1 else st.integers(17, 151)
+    else:
+        nodes = st.integers(2, 9 if lattice else 41)
+    resolution = tuple(draw(nodes) for _ in range(ndim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    K = draw(st.integers(1, 8))
+    K = draw(st.integers(1, 64 if tiled else 8))
     if lattice:
         lo = rng.integers(-5, 5, ndim).astype(float)
-        bounds = tuple((a, a + r - 1) for a, r in zip(lo, resolution))
+        span = np.array(resolution) - 1
+        out = span // 4 if tiled else 0
         # half-integer offsets from the lower corner: nodes and cell centers
-        slots = [np.arange(2 * r - 1) / 2.0 for r in resolution]
-        cand = np.stack(np.meshgrid(*slots, indexing="ij"), axis=-1).reshape(-1, ndim) + lo
-        K = min(K, len(cand))
-        pos = cand[rng.choice(len(cand), K, replace=False)]
+        pos = lo + rng.integers(-2 * out, 2 * (span + out) + 1, (K, ndim)) / 2.0
     else:
-        bounds = tuple((a, a + w) for a, w in rng.uniform([-2.0, 0.5], [2.0, 3.0], (ndim, 2)))
-        lo, hi = np.array(bounds).T
-        pos = rng.uniform(lo, hi, (K, ndim))
-    domain = Domain(bounds, resolution)
+        lo, span = rng.uniform([-2.0, 0.5], [2.0, 3.0], (ndim, 2)).T
+        out = span / 4 if tiled else 0.0
+        pos = rng.uniform(lo - out, lo + span + out, (K, ndim))
+    pos = rng.permutation(np.unique(pos, axis=0))
+    domain = Domain(tuple(zip(lo, lo + span)), resolution)
     return DensityField.from_values(domain, np.ones(resolution)), pos
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 @given(station_layouts())
 def test_assignment_matches_dense_argmin(layout):
     d, pos = layout
     partition = voronoi_partition(pos, d)
     np.testing.assert_array_equal(partition.assignment.ravel(), dense_assignment(pos, d))
+
+
+@pytest.mark.parametrize(
+    "pos, resolution",
+    [
+        (np.array([[1e200, 0.0], [-1e200, 0.0]]), (201, 201)),
+        (np.array([[0.3, 1e200], [-1e200, 0.5], [0.7, 0.2]]), (201, 201)),
+        (np.array([1e200, -1e200, 0.3]), (20_001,)),
+    ],
+)
+def test_huge_positions_assign_without_warnings(pos, resolution):
+    domain = Domain(((0.0, 1.0),) * len(resolution), resolution)
+    d = DensityField.from_values(domain, np.ones(resolution))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        partition = voronoi_partition(pos, d)
+    pos = pos.reshape(len(pos), -1)
+    with np.errstate(over="ignore"):
+        dense = dense_assignment(pos, d)
+    np.testing.assert_array_equal(partition.assignment.ravel(), dense)
 
 
 @st.composite
