@@ -15,6 +15,7 @@ midpoints, and one rule covers 1D and 2D: the 1D Simpson rule
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -128,9 +129,17 @@ class Domain:
     def cell_counts(self) -> tuple[int, ...]:
         return tuple(r - 1 for r in self.resolution)
 
+    @functools.cached_property
+    def midpoints(self) -> tuple[np.ndarray, ...]:
+        """Per axis, the read-only cell-center coordinates, computed once."""
+        mids = tuple(0.5 * (ax[:-1] + ax[1:]) for ax in self.axes)
+        for m in mids:
+            m.flags.writeable = False
+        return mids
+
     def cell_centers(self) -> np.ndarray:
-        """Centers of the grid cells, shape (cells,) in 1D or (cells, 2) in 2D."""
-        pts = _grid_points([0.5 * (ax[:-1] + ax[1:]) for ax in self.axes])
+        """Centers of the grid cells, shape (cells,) in 1D (read-only) or (cells, 2) in 2D."""
+        pts = _grid_points(self.midpoints)
         return pts.reshape((-1,) + pts.shape[self.ndim :])
 
     def contains(self, points: np.ndarray) -> np.ndarray:
@@ -301,12 +310,6 @@ def spec_values(spec: FunctionSpec, domain: Domain, points: np.ndarray) -> np.nd
         for k in range(domain.ndim):
             out = out + slope[k] * coords[k]
     return out.reshape(out_shape)
-
-
-def _cdf_quantiles(edges: np.ndarray, cell_masses: np.ndarray, levels) -> np.ndarray:
-    """Where the normalized cumulative cell mass, linear in each cell, reaches each level."""
-    cdf = np.concatenate([[0.0], np.cumsum(cell_masses)])
-    return np.interp(np.asarray(levels, dtype=float), cdf / cdf[-1], edges)
 
 
 def _midpoint_levels(n: int) -> np.ndarray:
@@ -512,6 +515,16 @@ class DensityField:
             self._moment_cache["second"] = sum(terms[1:], terms[0])
         return self._moment_cache["second"]
 
+    def _axis_quantiles(self, k: int, levels) -> np.ndarray:
+        """Where the cumulative cell-mass marginal along axis k, linear in each
+        cell, reaches each level; each axis's normalized marginal is kept."""
+        if "marginals" not in self._moment_cache:
+            ndim = self.domain.ndim
+            sums = [np.cumsum(self._cell_mass.sum(axis=tuple(set(range(ndim)) - {j}))) for j in range(ndim)]
+            self._moment_cache["marginals"] = [np.concatenate([[0.0], c]) / c[-1] for c in sums]
+        cdf = self._moment_cache["marginals"][k]
+        return np.interp(np.asarray(levels, dtype=float), cdf, self.domain.axis(k))
+
     def centroid(self) -> np.ndarray:
         """Barycenter of the density."""
         return np.array([float(m.sum()) for m in self.cell_first_moments()])
@@ -560,7 +573,7 @@ class DensityField:
         """Quantile locations of a 1D density from its cumulative Simpson cell masses."""
         if self.domain.ndim != 1:
             raise ValueError("quantiles are defined for 1D densities")
-        return _cdf_quantiles(self.domain.axis(0), self._cell_mass, levels)
+        return self._axis_quantiles(0, levels)
 
 
 @dataclass(frozen=True)

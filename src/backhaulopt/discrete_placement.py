@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .density import DensityField, _cdf_quantiles, _check_count, _grid_points, _midpoint_levels, _non_numeric
+from .density import DensityField, _check_count, _grid_points, _midpoint_levels, _non_numeric
 from .power_model import (
     CellPartition,
     PowerReport,
@@ -119,7 +119,7 @@ def voronoi_partition(positions, d: DensityField) -> CellPartition:
         raise SingularGainError(
             "duplicate station positions; damping below 1 or jitter init avoids this"
         )
-    mids = [0.5 * (ax[:-1] + ax[1:]) for ax in d.domain.axes]
+    mids = d.domain.midpoints
     best = np.full(d.domain.cell_counts, np.inf)
     assignment = np.zeros(d.domain.cell_counts, dtype=int)
     # far stations square to inf, which still orders correctly
@@ -255,11 +255,7 @@ def _product_quantiles(d: DensityField, K: int) -> np.ndarray:
     else:
         kx = max(int(round(math.sqrt(K))), 1)
         counts = (kx, math.ceil(K / kx))
-    masses = d.cell_masses()
-    quantiles = []
-    for k, n in enumerate(counts):
-        marginal = masses.sum(axis=tuple(j for j in range(ndim) if j != k))
-        quantiles.append(_cdf_quantiles(d.domain.axis(k), marginal, _midpoint_levels(n)))
+    quantiles = [d._axis_quantiles(k, _midpoint_levels(n)) for k, n in enumerate(counts)]
     return _grid_points(quantiles).reshape(-1, ndim)[:K]
 
 
@@ -270,8 +266,9 @@ def optimize(
 
     The positions have settled when an update moves no station by
     `position_tolerance` times the domain's largest side; that round
-    prices the kept partition and does not assign the cells again. The
-    power trace has one entry per round and never increases (up to float noise).
+    prices the kept partition, unless no station moved at all, and does
+    not assign the cells again. The power trace has one entry per round
+    and never increases (up to float noise).
     """
     if cfg is None:
         cfg = OptimizerConfig()
@@ -284,8 +281,9 @@ def optimize(
     for iterations in range(1, cfg.max_iterations + 1):
         new_pos = update_positions(pos, report.traffic, params, cfg.damping, cfg.include_inter)
         converged = float(np.max(np.linalg.norm(new_pos - pos, axis=1))) < tolerance
+        if not np.array_equal(new_pos, pos):
+            report = _price(new_pos, report.traffic, params)
         pos = new_pos
-        report = _price(pos, report.traffic, params)
         if not converged:
             candidate = voronoi_partition(pos, d)
             cand_report = _price(pos, station_traffic(candidate, d), params)

@@ -100,12 +100,19 @@ class TrafficVector:
 
 
 def station_traffic(partition: CellPartition, d: DensityField) -> TrafficVector:
-    """Reduce a partition's cells to per-station traffic and moment sums."""
+    """Reduce a partition's cells to per-station traffic and moment sums.
+
+    Each run of same-station cells in C order is summed pairwise, then the
+    run sums per station, so the cost grows with the runs, not the cells;
+    a partition with a run per cell is the worst case.
+    """
     if partition.domain != d.domain:
         raise ValueError("the partition and the density must share one grid")
     assign = partition.assignment.ravel()
+    starts = np.flatnonzero(np.concatenate(([True], assign[1:] != assign[:-1])))
+    owners = assign[starts]
     mass, *first, second = (
-        np.bincount(assign, weights=w.ravel(), minlength=partition.stations)
+        np.bincount(owners, weights=np.add.reduceat(w.ravel(), starts), minlength=partition.stations)
         for w in (d.cell_masses(), *d.cell_first_moments(), d.cell_second_moments())
     )
     per_station = d.throughput * mass

@@ -45,6 +45,11 @@ class TestDomain:
         assert dom.volume == pytest.approx(4.0)
         centers = dom.cell_centers()
         assert centers.shape == (200, 2)
+        # the per-axis centers are computed once and cannot be written through
+        assert dom.midpoints is dom.midpoints
+        assert not any(m.flags.writeable for m in dom.midpoints)
+        np.testing.assert_array_equal(centers.reshape(20, 10, 2)[:, 0, 0], dom.midpoints[0])
+        np.testing.assert_array_equal(centers.reshape(20, 10, 2)[0, :, 1], dom.midpoints[1])
 
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ValueError):

@@ -349,16 +349,22 @@ class TestOptimize:
         assert d.domain.contains(sol.positions).all()
 
     def test_settled_layout_is_not_assigned_again(self, monkeypatch):
-        # the start and the first move are assigned; the round that finds the
-        # positions settled prices the kept partition and stops
-        calls = []
-        assign = discrete_placement.voronoi_partition
+        # the start and the first move are assigned; the first move keeps the
+        # start's partition, so the round that finds the positions settled gets
+        # them back unchanged and neither assigns nor prices them again
+        calls, prices = [], []
+        assign, price = discrete_placement.voronoi_partition, discrete_placement._price
 
         def counted(pos, d):
             calls.append(1)
             return assign(pos, d)
 
+        def priced(pos, traffic, params):
+            prices.append(1)
+            return price(pos, traffic, params)
+
         monkeypatch.setattr(discrete_placement, "voronoi_partition", counted)
+        monkeypatch.setattr(discrete_placement, "_price", priced)
         d = DensityField.from_spec(
             FunctionSpec("normal", {"mu": (0.0, 0.0), "sigma": (1.0, 1.0)}),
             1.0,
@@ -367,7 +373,8 @@ class TestOptimize:
         sol = optimize(d, 4, PARAMS)
         assert sol.converged and sol.iterations == 2
         assert len(calls) == 2
-        assert len(sol.trace) == 3
+        assert len(prices) == 2
+        assert len(sol.trace) == 3 and sol.trace[2] == sol.trace[1]
 
     def test_each_partition_is_reduced_once(self, monkeypatch):
         # the start partition is reduced by its pricing and the first move's

@@ -2,6 +2,7 @@
 the station measures on random small instances."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from backhaulopt import discrete_placement, power_model
 from backhaulopt.brute_force import naive_total_power
 from backhaulopt.continuum import AffineMap, Measure1D, pushforward
 from backhaulopt.density import DemandField, DensityField, Domain, FunctionSpec, fold_demand
@@ -19,8 +21,10 @@ from backhaulopt.discrete_placement import (
     voronoi_partition,
 )
 from backhaulopt.power_model import (
+    CellPartition,
     RadioParams,
     SingularGainError,
+    TrafficVector,
     station_traffic,
     total_power,
 )
@@ -226,6 +230,100 @@ def test_huge_positions_assign_without_warnings(pos, resolution):
     with np.errstate(over="ignore"):
         dense = dense_assignment(pos, d)
     np.testing.assert_array_equal(partition.assignment.ravel(), dense)
+
+
+def bincount_station_traffic(partition, d):
+    """`station_traffic` as one weighted bincount over every cell per sum."""
+    assign = partition.assignment.ravel()
+    mass, *first, second = (
+        np.bincount(assign, weights=w.ravel(), minlength=partition.stations)
+        for w in (d.cell_masses(), *d.cell_first_moments(), d.cell_second_moments())
+    )
+    per_station = d.throughput * mass
+    return TrafficVector(per_station, float(per_station.sum()), mass, np.stack(first, axis=1), second)
+
+
+@st.composite
+def labelled_grids(draw):
+    """A random 1D grid of up to 5001 nodes or 2D grid of up to 61 per axis,
+    and a partition of its cells among K stations: the Voronoi partition of
+    K distinct stations; random labels, a run per cell or nearly; every cell
+    at one station; a Voronoi partition whose labels are spread over K plus
+    up to 4 more stations, which get no cells; or C-order blocks of up to
+    two rows each, whose runs cross row ends."""
+    ndim = draw(st.sampled_from([1, 2]))
+    resolution = tuple(draw(st.integers(2, 5001 if ndim == 1 else 61)) for _ in range(ndim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, span = rng.uniform([-2.0, 0.5], [2.0, 3.0], (ndim, 2)).T
+    domain = Domain(tuple(zip(lo, lo + span)), resolution)
+    d = DensityField.from_values(domain, rng.uniform(0.05, 1.0, resolution), float(rng.uniform(0.5, 3.0)))
+    K = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["voronoi", "random", "one", "empty", "rows"]))
+    cells, n = domain.cell_counts, math.prod(domain.cell_counts)
+    stations = K
+    if kind in ("voronoi", "empty"):
+        pos = np.unique(rng.uniform(lo, lo + span, (K, ndim)), axis=0)
+        labels = voronoi_partition(pos, d).assignment
+        stations = len(pos)
+        if kind == "empty":
+            stations += draw(st.integers(1, 4))
+            labels = rng.permutation(stations)[labels]
+    elif kind == "random":
+        labels = rng.integers(0, K, cells)
+    elif kind == "one":
+        labels = np.full(cells, rng.integers(0, K))
+    else:
+        lengths = rng.integers(1, 2 * cells[-1] + 1, n)
+        lengths = lengths[: np.searchsorted(np.cumsum(lengths), n) + 1]
+        labels = np.repeat(rng.integers(0, K, len(lengths)), lengths)[:n]
+    return d, CellPartition(domain, labels, stations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_grids())
+def test_station_sums_match_a_per_cell_bincount(grid):
+    d, partition = grid
+    got, want = station_traffic(partition, d), bincount_station_traffic(partition, d)
+    for name in ("mass", "second", "per_station"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, err_msg=name)
+    # a first moment mixes signs where the domain straddles 0: its terms
+    # sum to at most the largest coordinate times a mass of 1
+    scale = np.abs(d.domain.bounds).max()
+    np.testing.assert_allclose(got.first, want.first, rtol=1e-12, atol=1e-12 * scale)
+    assert got.mass.sum() == pytest.approx(1.0, abs=1e-12)
+    assert got.total == pytest.approx(want.total, rel=1e-12)
+
+
+def hotspot_density(ndim, nodes, rng):
+    """A mixture of Gaussian hotspots over a floor, sampled on the nodes of
+    the unit interval or square."""
+    axis = np.linspace(0.0, 1.0, nodes)
+    coords = np.meshgrid(*([axis] * ndim), indexing="ij")
+    values = np.full(coords[0].shape, 0.15)
+    for c, w in zip(rng.uniform(0.1, 0.9, (9, ndim)), rng.uniform(0.75, 1.25, 9)):
+        values += w * np.exp(-sum((x - ck) ** 2 for x, ck in zip(coords, c)) / (2.0 * 0.05**2))
+    return DensityField.from_values(Domain(((0.0, 1.0),) * ndim, (nodes,) * ndim), values)
+
+
+@pytest.mark.parametrize("ndim, nodes, K", [(2, 201, 16), (1, 100_001, 16)])
+def test_optimize_is_unchanged_by_per_cell_station_sums(monkeypatch, ndim, nodes, K):
+    d = hotspot_density(ndim, nodes, np.random.default_rng(ndim))
+    params = RadioParams(1.0, d.throughput)
+    cfg = OptimizerConfig(init="jitter", seed=5)
+    runs = optimize(d, K, params, cfg)
+    calls = []
+
+    def reference(partition, d):
+        calls.append(partition)
+        return bincount_station_traffic(partition, d)
+
+    monkeypatch.setattr(power_model, "station_traffic", reference)
+    monkeypatch.setattr(discrete_placement, "station_traffic", reference)
+    cells = optimize(d, K, params, cfg)
+    assert len(calls) == cells.iterations
+    np.testing.assert_array_equal(runs.partition.assignment, cells.partition.assignment)
+    assert runs.iterations == cells.iterations
+    assert runs.report.total == pytest.approx(cells.report.total, rel=1e-12)
 
 
 @st.composite
