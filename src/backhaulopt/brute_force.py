@@ -16,7 +16,10 @@ per station, and that price picks the result.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,53 +51,36 @@ def naive_total_power(positions, assignment, d: DensityField, params: RadioParam
     over cells but independent of the solver's moment sums; agrees with
     them to roundoff on the same grid.
     """
-    pos = np.asarray(positions, dtype=float).reshape(-1, d.domain.ndim)
+    ndim = d.domain.ndim
+    pos = np.asarray(positions, dtype=float).reshape(-1, ndim)
     K = pos.shape[0]
     assign = np.asarray(assignment).ravel()
     gain = params.noise_power * (2.0 ** params.throughput - 1.0)
 
-    if d.domain.ndim == 1:
-        x = d.domain.axis(0)
-        fx = np.asarray(d.values, dtype=float)
-        mids = 0.5 * (x[:-1] + x[1:])
-        fm = d.eval(mids)
-        p = pos[assign, 0]
-        w = np.diff(x) / 6.0
-        cell_mass = w * (fx[:-1] + 4.0 * fm + fx[1:])
-        cell_intra = w * (
-            fx[:-1] * (x[:-1] - p) ** 2 + 4.0 * fm * (mids - p) ** 2 + fx[1:] * (x[1:] - p) ** 2
-        )
-    else:
-        xg, yg = d.domain.axes
-        xm = 0.5 * (xg[:-1] + xg[1:])
-        ym = 0.5 * (yg[:-1] + yg[1:])
-        # values at each (x node or midpoint, y node or midpoint) pattern
-        tables = {
-            (False, False): np.asarray(d.values, dtype=float),
-            (True, False): d.eval(np.stack(np.meshgrid(xm, yg, indexing="ij"), axis=-1)),
-            (False, True): d.eval(np.stack(np.meshgrid(xg, ym, indexing="ij"), axis=-1)),
-            (True, True): d.eval(np.stack(np.meshgrid(xm, ym, indexing="ij"), axis=-1)),
-        }
-        shape = (xg.size - 1, yg.size - 1)
-        px = pos[assign, 0].reshape(shape)
-        py = pos[assign, 1].reshape(shape)
-        # (sample coordinate, node slice, is midpoint, Simpson weight) per axis
-        xs, ys = (
-            ((g[:-1], np.s_[:-1], False, 1.0), (m, np.s_[:], True, 4.0), (g[1:], np.s_[1:], False, 1.0))
-            for g, m in ((xg, xm), (yg, ym))
-        )
-        s_m = np.zeros(shape)
-        s_i = np.zeros(shape)
-        for ax, sx, mx, wx in xs:
-            for ay, sy, my, wy in ys:
-                val = wx * wy * tables[mx, my][sx, sy]
-                s_m += val
-                s_i += val * ((ax[:, None] - px) ** 2 + (ay[None, :] - py) ** 2)
-        w = np.outer(np.diff(xg), np.diff(yg)) / 36.0
-        cell_mass = w * s_m
-        cell_intra = w * s_i
-    mass = np.bincount(assign, weights=cell_mass.ravel(), minlength=K)
-    intra = np.bincount(assign, weights=cell_intra.ravel(), minlength=K)
+    axes = d.domain.axes
+    mids = [0.5 * (g[:-1] + g[1:]) for g in axes]
+    shape = tuple(m.size for m in mids)
+    # values at each pattern of node (False) or midpoint (True) per axis, one eval per pattern
+    tables = {}
+    for pattern in itertools.product((False, True), repeat=ndim):
+        grids = [m if mid else g for g, m, mid in zip(axes, mids, pattern)]
+        values = d.eval(np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1)) if any(pattern) else d.values
+        tables[pattern] = np.reshape(values, [g.size for g in grids])
+    p = [pos[assign, k].reshape(shape) for k in range(ndim)]
+    # (sample coordinate, node slice, is midpoint, Simpson weight) per axis
+    samples = (
+        ((g[:-1], np.s_[:-1], False, 1.0), (m, np.s_[:], True, 4.0), (g[1:], np.s_[1:], False, 1.0))
+        for g, m in zip(axes, mids)
+    )
+    s_m, s_i = np.zeros(shape), np.zeros(shape)
+    for combo in itertools.product(*samples):
+        coords, slices, pattern, weights = zip(*combo)
+        val = functools.reduce(operator.mul, weights) * tables[pattern][slices]
+        s_m += val
+        s_i += val * functools.reduce(np.add, ((c - q) ** 2 for c, q in zip(np.ix_(*coords), p)))
+    w = functools.reduce(np.multiply.outer, map(np.diff, axes)) / 6.0**ndim
+    mass = np.bincount(assign, weights=(w * s_m).ravel(), minlength=K)
+    intra = np.bincount(assign, weights=(w * s_i).ravel(), minlength=K)
 
     traffic = [d.throughput * mk for mk in mass]
     m = sum(traffic)
@@ -102,7 +88,7 @@ def naive_total_power(positions, assignment, d: DensityField, params: RadioParam
     for i in range(K):
         for j in range(K):
             if i != j:
-                d2 = sum((pos[i][k] - pos[j][k]) ** 2 for k in range(d.domain.ndim))
+                d2 = sum((pos[i][k] - pos[j][k]) ** 2 for k in range(ndim))
                 total += params.noise_power * traffic[i] * traffic[j] * d2 / m
     return total
 

@@ -56,8 +56,8 @@ def dilation_factor(throughput: float) -> float:
     drives the factor to 1: backhaul costs stop mattering and stations
     shadow the terminals.
     """
-    if not throughput > 0:
-        raise ValueError("throughput must be positive")
+    if _non_numeric(throughput) or not 0 < throughput < math.inf:
+        raise ValueError("throughput must be a positive finite number")
     return 1.0 + 4.0 / (math.pow(2.0, throughput) - 1.0)
 
 
@@ -147,8 +147,8 @@ class Measure1D:
         """`mass` times the 1D density `d`, which the measure keeps without a copy."""
         if d.domain.ndim != 1 or d.domain.resolution[0] < 3:
             raise ValueError("measures are 1D, on 3 or more nodes")
-        if not 0 < mass < math.inf:
-            raise ValueError("measure mass must be positive and finite")
+        if _non_numeric(mass) or not 0 < mass < math.inf:
+            raise ValueError("measure mass must be a positive finite number")
         nu = Measure1D.__new__(Measure1D)
         nu.density, nu.total_mass = d, float(mass)
         return nu
@@ -211,8 +211,8 @@ def pushforward(f: DensityField, T: TransportMap, mass: float) -> Measure1D:
     """
     if f.domain.ndim != 1:
         raise ValueError("pushforward is 1D")
-    if not mass > 0:
-        raise ValueError("mass must be positive")
+    if _non_numeric(mass) or not 0 < mass < math.inf:
+        raise ValueError("mass must be a positive finite number")
     a, b = f.domain.bounds[0]
     ya, yb = float(T(a)), float(T(b))
     ygrid = np.linspace(ya, yb, f.domain.resolution[0])

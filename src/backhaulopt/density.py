@@ -96,7 +96,7 @@ class Domain:
 
     @staticmethod
     def rectangle(xbounds, ybounds, resolution=(201, 201)) -> "Domain":
-        if isinstance(resolution, int):
+        if np.ndim(resolution) == 0:
             resolution = (resolution, resolution)
         return Domain((tuple(xbounds), tuple(ybounds)), tuple(resolution))
 
@@ -418,10 +418,10 @@ class DensityField:
         mass = float(_simpson(samples, domain.spacings).sum())
         if not 0 < mass < math.inf:
             raise ValueError("density mass must be positive and finite")
+        if _non_numeric(throughput) or not 0 < throughput < math.inf:
+            raise ValueError("throughput must be a positive finite number")
         self.domain = domain
         self.throughput = float(throughput)
-        if not self.throughput > 0:
-            raise ValueError("throughput must be positive")
         self.analytic = analytic
         self._scale = 1.0 / mass
         self._stencil = self._scale * samples
@@ -556,13 +556,15 @@ class DensityField:
         return float(_simpson(vals, [np.diff(e) for e in edges]).sum())
 
     def _normalize_region(self, region):
+        if _non_numeric(region):
+            raise ValueError("region bounds must be numeric, not strings or booleans")
         pairs = np.asarray(region, dtype=float).reshape(-1, 2)
         if len(pairs) != self.domain.ndim:
             raise ValueError(f"{self.domain.ndim}D regions need (lo, hi) bounds for each axis")
         out = []
         for (lo, hi), (dlo, dhi) in zip(pairs.tolist(), self.domain.bounds):
             tol = CONTAINMENT_TOL * (dhi - dlo)
-            if lo > hi:
+            if not lo <= hi:  # NaN too
                 raise ValueError("region bounds must satisfy lower <= upper")
             if lo < dlo - tol or hi > dhi + tol:
                 raise ValueError("region exceeds the density domain")
@@ -622,6 +624,6 @@ def fold_demand(demand: DemandField) -> DensityField:
 
 def expected_terminals(d: DensityField, region, total: float) -> float:
     """Expected number of terminals in a region out of `total` overall."""
-    if total < 0:
-        raise ValueError("total terminal count must be nonnegative")
+    if _non_numeric(total) or not 0 <= total < math.inf:
+        raise ValueError("total terminal count must be a nonnegative finite number")
     return total * d.integrate(region)

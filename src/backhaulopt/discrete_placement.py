@@ -15,6 +15,7 @@ monotone by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -125,8 +126,7 @@ def voronoi_partition(positions, d: DensityField) -> CellPartition:
     # far stations square to inf, which still orders correctly
     with np.errstate(over="ignore"):
         for k, box in _candidate_boxes(pos, mids):
-            sq = [(m[s] - c) ** 2 for m, s, c in zip(mids, box, pos[k])]
-            d2 = sq[0] if len(sq) == 1 else np.add.outer(*sq)
+            d2 = functools.reduce(np.add.outer, [(m[s] - c) ** 2 for m, s, c in zip(mids, box, pos[k])])
             near = best[box]
             closer = d2 < near
             np.minimum(near, d2, out=near)
@@ -162,8 +162,7 @@ def _candidate_boxes(pos: np.ndarray, mids) -> list:
         return [(k, (slice(None),) * ndim) for k in range(K)]
     edges = [np.arange(t + 1) * len(m) // t for m, t in zip(mids, counts)]
     near, far = zip(*(_tile_offsets(m, e, c) for m, e, c in zip(mids, edges, pos.T)))
-    low = near[0] if ndim == 1 else near[0][:, :, None] + near[1][:, None, :]
-    high = far[0] if ndim == 1 else far[0][:, :, None] + far[1][:, None, :]
+    low, high = (functools.reduce(lambda a, b: a[..., None] + b[:, None, :], t) for t in (near, far))
     candidate = low <= high.min(axis=0)
     hits = [candidate.any(axis=tuple(j + 1 for j in range(ndim) if j != a)) for a in range(ndim)]
     # per axis, the cells from each station's first to its last candidate tile
@@ -250,11 +249,8 @@ def initial_positions(
 def _product_quantiles(d: DensityField, K: int) -> np.ndarray:
     """Equal-mass quantiles of the cell-mass marginals on a near-square product grid, x-major."""
     ndim = d.domain.ndim
-    if ndim == 1:
-        counts = (K,)
-    else:
-        kx = max(int(round(math.sqrt(K))), 1)
-        counts = (kx, math.ceil(K / kx))
+    kx = max(round(K ** (1.0 / ndim)), 1)
+    counts = (kx, math.ceil(K / kx))[:ndim]
     quantiles = [d._axis_quantiles(k, _midpoint_levels(n)) for k, n in enumerate(counts)]
     return _grid_points(quantiles).reshape(-1, ndim)[:K]
 

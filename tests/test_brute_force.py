@@ -15,7 +15,7 @@ from backhaulopt.brute_force import (
     midpoint_total_power,
     naive_total_power,
 )
-from backhaulopt.density import DensityField, Domain, FunctionSpec
+from backhaulopt.density import DemandField, DensityField, Domain, FunctionSpec, fold_demand
 from backhaulopt.discrete_placement import voronoi_partition
 from backhaulopt.power_model import RadioParams, total_power
 
@@ -89,22 +89,56 @@ def loop_total_power(pos, assignment, d, params):
 class TestNaiveReference:
     @pytest.mark.parametrize("ndim", [1, 2])
     def test_equals_the_cell_loop(self, ndim):
-        # vectorizing over cells kept every float operation and its order
+        # vectorizing over cells kept every float operation and its order, on
+        # analytic, gridded and folded densities and for any labelling of the cells
         rng = np.random.default_rng(7)
         if ndim == 1:
-            d = DensityField.from_spec(FunctionSpec("normal", {"mu": 0.0, "sigma": 1.0}), 1.3)
+            normal = FunctionSpec("normal", {"mu": 0.0, "sigma": 1.0})
+            analytic = DensityField.from_spec(normal, 1.3)
+            demand = FunctionSpec("affine", {"slope": 0.1, "intercept": 2.0})
         else:
-            d = DensityField.from_spec(
-                FunctionSpec("normal", {"mu": (0.2, 0.1), "sigma": (1.0, 0.7)}),
-                0.8,
-                Domain.rectangle((-3.0, 3.0), (-2.0, 3.0), (31, 21)),
-            )
-        lo, hi = np.array(d.domain.bounds).T
+            normal = FunctionSpec("normal", {"mu": (0.2, 0.1), "sigma": (1.0, 0.7)})
+            analytic = DensityField.from_spec(normal, 0.8, Domain.rectangle((-3.0, 3.0), (-2.0, 3.0), (31, 21)))
+            demand = FunctionSpec("affine", {"slope": (0.2, -0.1), "intercept": 2.0})
+        domain = analytic.domain
+        fields = (
+            analytic,
+            DensityField.from_values(domain, rng.uniform(0.1, 2.0, domain.resolution), 0.9),
+            fold_demand(DemandField(domain, normal, demand)),
+        )
+        assert fields[2].analytic is None
+        lo, hi = np.array(domain.bounds).T
         params = RadioParams(noise_power=1.7, throughput=0.6)
-        for K in (1, 3, 6):
-            pos = rng.uniform(lo, hi, (K, ndim))
+        for d in fields:
+            for K in (1, 3, 6):
+                pos = rng.uniform(lo, hi, (K, ndim))
+                # nearest stations, a run per cell, and a last station with no cells
+                for assign in (
+                    voronoi_partition(pos, d).assignment,
+                    rng.integers(0, K, domain.cell_counts),
+                    rng.integers(0, max(K - 1, 1), domain.cell_counts),
+                ):
+                    assert naive_total_power(pos, assign, d, params) == loop_total_power(pos, assign, d, params)
+
+    def test_memory_is_linear_in_cells(self):
+        # one eval per pattern of node or midpoint per axis: evaluating every
+        # Simpson point at once took 385 bytes per cell on the 201 x 201 grid
+        rng = np.random.default_rng(5)
+        for resolution in [(201, 201), (20_001,)]:
+            ndim = len(resolution)
+            domain = Domain(((0.0, 1.0),) * ndim, resolution)
+            d = DensityField.from_values(domain, rng.uniform(0.1, 1.0, resolution))
+            pos = rng.uniform(0.0, 1.0, (16, ndim))
             assign = voronoi_partition(pos, d).assignment
-            assert naive_total_power(pos, assign, d, params) == loop_total_power(pos, assign, d, params)
+            cells = int(np.prod(domain.cell_counts))
+            tracemalloc.start()
+            try:
+                total = naive_total_power(pos, assign, d, PARAMS)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.isfinite(total)
+            assert peak < 20 * 8 * cells, resolution
 
     def test_matches_main_path_1d(self):
         d = uniform_field()

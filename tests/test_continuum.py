@@ -68,6 +68,12 @@ class TestDilationFactor:
             with pytest.raises(ValueError):
                 dilation_factor(t)
 
+    def test_rejects_non_numbers_and_non_finite(self):
+        # True read as 1 gave 5.0, and an infinite throughput gave 1.0
+        for t in (True, "1", math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive finite number"):
+                dilation_factor(t)
+
 
 class TestPotentialGradient:
     def test_values(self):
@@ -178,9 +184,12 @@ class TestMeasure1D:
             Measure1D(np.linspace(0, 1, 5), np.zeros(5))
         with pytest.raises(ValueError, match="evenly spaced"):
             Measure1D(np.array([0.0, 0.5, 2.0]), np.ones(3))
-        for mass in (0.0, -1.0, math.inf, math.nan):
+        # True was read as 1.0, and "1" raised TypeError
+        for mass in (0.0, -1.0, math.inf, math.nan, True, "1"):
             with pytest.raises(ValueError, match="mass"):
                 Measure1D.from_values(np.linspace(0, 1, 5), np.ones(5), mass=mass)
+            with pytest.raises(ValueError, match="mass"):
+                Measure1D.from_density(standard_normal_field(), mass)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_samples_rejected(self, bad):
@@ -278,8 +287,9 @@ class TestPushforward:
         assert abs(nu.total_mass - 2.0) <= 1e-6
 
     def test_mass_must_be_positive(self):
-        with pytest.raises(ValueError):
-            pushforward(standard_normal_field(), AffineMap(2.0), 0.0)
+        for mass in (0.0, math.inf, math.nan, True, "1"):
+            with pytest.raises(ValueError, match="mass"):
+                pushforward(standard_normal_field(), AffineMap(2.0), mass)
 
     def test_far_image_grid_collapses(self):
         # spacing 16 / 2000 is below one ulp at 1e16, so an evenly

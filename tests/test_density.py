@@ -63,6 +63,13 @@ class TestDomain:
         with pytest.raises(ValueError, match="numeric"):
             Domain.rectangle((0.0, 1.0), (0.0, "2"), 5)
 
+    def test_rectangle_scalar_resolution(self):
+        # any scalar is the node count of both axes; a fraction is still no count
+        dom = Domain.rectangle((0.0, 1.0), (0.0, 2.0), np.int64(11))
+        assert dom.resolution == (11, 11)
+        with pytest.raises(TypeError):
+            Domain.rectangle((0.0, 1.0), (0.0, 2.0), 2.5)
+
     def test_resolution_minimum(self):
         with pytest.raises(ValueError):
             Domain.interval(0.0, 1.0, 1)
@@ -159,6 +166,10 @@ class TestIntegrate:
         )
         with pytest.raises(ValueError):
             square.integrate((0.0, 0.5))
+        # float() reads "0" and True as numbers, and NaN passes `lo > hi`
+        for region in (("0", 0.5), (False, 0.5), (0.0, np.nan), (np.nan, 0.5)):
+            with pytest.raises(ValueError, match="region bounds"):
+                uniform_field().integrate(region)
 
     def test_additive_over_disjoint_regions(self):
         d = normal_field()
@@ -199,8 +210,9 @@ class TestIntegrate:
         assert est == pytest.approx(682.6894921370859, abs=1e-3)
 
     def test_negative_total_rejected(self):
-        with pytest.raises(ValueError):
-            expected_terminals(uniform_field(), None, -1.0)
+        for total in (-1.0, np.nan, np.inf, True, "10"):
+            with pytest.raises(ValueError, match="total terminal count"):
+                expected_terminals(uniform_field(), None, total)
 
 
 class TestField:
@@ -220,6 +232,10 @@ class TestField:
     def test_throughput_positive(self):
         with pytest.raises(ValueError):
             DensityField.from_spec(FunctionSpec("uniform", {}), 0.0, Domain.interval(0, 1, 11))
+        # True was read as 1.0, "2" as 2.0, and an infinite throughput was kept
+        for throughput in (True, "2", np.inf, np.nan):
+            with pytest.raises(ValueError, match="throughput"):
+                DensityField.from_spec(FunctionSpec("uniform", {}), throughput, Domain.interval(0, 1, 11))
 
     def test_constructor_normalizes_samples(self):
         dom = Domain.rectangle((0.0, 1.0), (0.0, 2.0), (5, 4))
