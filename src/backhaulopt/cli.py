@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 unreadable or malformed scenario file,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import operator
@@ -37,15 +38,22 @@ class ScenarioError(ValueError):
     """Scenario parsed but failed semantic validation."""
 
 
+# rows formatted per write, so a file's text is never held whole
+_CSV_ROWS = 1024
+
+
 def _write_csv(path: Path, header: str, *columns) -> None:
     """Write equal-length 1-D columns under `header`: integer columns as
     integers, all others with 17 significant digits, so values parse
-    back exactly."""
+    back exactly. Rows go out `_CSV_ROWS` at a time, one `%` per chunk."""
     columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns)
-    lines = [header, *(row % values for values in zip(*(c.tolist() for c in columns)))]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), _CSV_ROWS):
+            rows = list(zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in columns)))
+            fh.write((row * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def _require(obj, key, context):
@@ -147,7 +155,8 @@ def _parse_scenario(scenario, grid, seed):
 def _run_discrete(d, params, outdir, quiet, K, **options) -> int:
     """`options` are `OptimizerConfig`'s fields; it rejects any other key."""
     K = _number("K", K, operator.index)
-    solution = optimize(d, K, params, OptimizerConfig(**options))
+    cfg = OptimizerConfig(**options)
+    solution = optimize(d, K, params, cfg)
 
     pos = solution.positions
     report = solution.report
@@ -161,7 +170,9 @@ def _run_discrete(d, params, outdir, quiet, K, **options) -> int:
     d_ij = np.sqrt(np.sum((pos[i] - pos[j]) ** 2, axis=1))
     _write_csv(outdir / "pairs.csv", "i,j,d_ij,P_ij", i, j, d_ij, report.inter_per_pair[i, j])
     trace = solution.trace
-    _write_csv(outdir / "trace.csv", "iter,total", np.arange(len(trace)), trace)
+    # the cost the optimizer descends: the access power alone without the backhaul term
+    header = "iter,total" if cfg.include_inter else "iter,intra_total"
+    _write_csv(outdir / "trace.csv", header, np.arange(len(trace)), trace)
     if not quiet:
         print(f"total power {report.total:.12g} after {solution.iterations} iterations")
         print(f"wrote placement.csv, pairs.csv, trace.csv to {outdir}")

@@ -14,6 +14,7 @@ optimizer only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -58,6 +59,8 @@ def dilation_factor(throughput: float) -> float:
     """
     if _non_numeric(throughput) or not 0 < throughput < math.inf:
         raise ValueError("throughput must be a positive finite number")
+    if throughput >= sys.float_info.max_exp:  # 2**throughput overflows; the factor is 1.0 before
+        return 1.0
     return 1.0 + 4.0 / (math.pow(2.0, throughput) - 1.0)
 
 
@@ -76,8 +79,10 @@ class AffineMap:
         return self.slope * np.asarray(x, dtype=float) + self.offset
 
     def invert_with_slope(self, y):
+        """The preimage of `y` and the map's slope there; the slope is a
+        read-only broadcast of the one constant, not an array of copies."""
         y = np.asarray(y, dtype=float)
-        return (y - self.offset) / self.slope, np.full_like(y, self.slope)
+        return (y - self.offset) / self.slope, np.broadcast_to(self.slope, y.shape)
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,8 @@ def _on_common_nodes(a: Measure1D, b: Measure1D):
     """The union of the grids and |a - b| there, each node interpolant zero off-support."""
     nodes = np.union1d(a.grid, b.grid)
     va, vb = (np.interp(nodes, m.grid, m.values, left=0.0, right=0.0) for m in (a, b))
-    return nodes, np.abs(va - vb)
+    va -= vb
+    return nodes, np.abs(va, out=va)
 
 
 def sup_distance(a: Measure1D, b: Measure1D) -> float:
@@ -198,6 +204,12 @@ def sup_distance(a: Measure1D, b: Measure1D) -> float:
     node sets, so evaluating there gives the exact sup.
     """
     return float(np.max(_on_common_nodes(a, b)[1]))
+
+
+def _l1_distance(a: Measure1D, b: Measure1D) -> float:
+    """Trapezoid integral of `sup_distance`'s difference over the common nodes."""
+    nodes, diff = _on_common_nodes(a, b)
+    return float(np.sum(np.diff(nodes) * (diff[1:] + diff[:-1])) / 2.0)
 
 
 def pushforward(f: DensityField, T: TransportMap, mass: float) -> Measure1D:
@@ -222,8 +234,10 @@ def pushforward(f: DensityField, T: TransportMap, mass: float) -> Measure1D:
             f"{ygrid.size} nodes; the map has diverged"
         )
     xq, slope = T.invert_with_slope(_refine(ygrid, 0))
-    fx = f.eval(np.clip(xq, a, b))
-    image = DensityField(Domain.interval(ya, yb, ygrid.size), mass * fx / slope, 1.0)
+    fx = f.eval(np.clip(xq, a, b, out=xq))
+    fx *= mass  # in place, in the order of mass * fx / slope
+    fx /= slope
+    image = DensityField(Domain.interval(ya, yb, ygrid.size), fx, 1.0)
     return Measure1D.from_density(image, 1.0 / image._scale)
 
 
@@ -289,8 +303,7 @@ def iterate_fixed_point(
             _, nxt = fixed_point_step(f, nu, params)
         except GridCollapseError:
             return SchemeResult(nu, step - 1, False, last_change)
-        nodes, diff = _on_common_nodes(nu, nxt)
-        last_change = float(np.sum(np.diff(nodes) * (diff[1:] + diff[:-1])) / 2.0)
+        last_change = _l1_distance(nu, nxt)
         nu = nxt
         if last_change < tolerance * nu.total_mass:
             return SchemeResult(nu, step, True, last_change)

@@ -11,6 +11,7 @@ to the traffic product of the two endpoint cells.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,11 @@ class RadioParams:
             value = getattr(self, name)
             if _non_numeric(value) or not 0 < value < math.inf:
                 raise ValueError(f"{name.replace('_', ' ')} must be a positive finite number")
+        if self.throughput >= sys.float_info.max_exp:
+            raise ValueError(
+                f"throughput {self.throughput!r} must be below {sys.float_info.max_exp}, "
+                "where 2**throughput overflows a float"
+            )
 
     @property
     def shannon_factor(self) -> float:

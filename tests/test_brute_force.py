@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from backhaulopt import brute_force
 from backhaulopt.brute_force import (
     _midpoint_weights,
     _prefix_sums,
@@ -365,6 +366,29 @@ class TestExhaustiveSearch:
         np.testing.assert_array_equal(res.positions, positions)
         assert res.power == power
         np.testing.assert_array_equal(res.traffic, traffic)
+
+    @pytest.mark.parametrize("block", [1 << 6, 1 << 16])
+    def test_answer_does_not_depend_on_the_block(self, monkeypatch, block):
+        # the window re-prices the true minimum in any block, and the strict
+        # < keeps the lexicographically first of ties across blocks
+        rng = np.random.default_rng(24)
+        instances = []
+        for _ in range(20):
+            lo = rng.uniform(-5.0, 5.0)
+            hi = lo + rng.uniform(0.5, 8.0)
+            dom = Domain.interval(lo, hi, int(rng.integers(3, 400)))
+            d = DensityField.from_values(dom, rng.uniform(0.0, 1.0, dom.resolution[0]), rng.uniform(0.1, 4.0))
+            cand = lo + (hi - lo) * rng.uniform(0.0, 1.0, int(rng.integers(3, 60)))
+            params = RadioParams(rng.uniform(0.01, 100.0), rng.uniform(0.05, 4.0))
+            instances.append((d, params, cand))
+        expected = [[brute_force_optimize(d, K, p, c) for K in (1, 2, 3)] for d, p, c in instances]
+        monkeypatch.setattr(brute_force, "_BLOCK", block)
+        for (d, params, cand), results in zip(instances, expected):
+            for K, want in zip((1, 2, 3), results):
+                got = brute_force_optimize(d, K, params, cand)
+                np.testing.assert_array_equal(got.positions, want.positions)
+                assert got.power == want.power
+                np.testing.assert_array_equal(got.traffic, want.traffic)
 
     def test_memory_at_the_cap(self):
         # 401 candidates and K = 3 are 10 695 100 subsets. The search that

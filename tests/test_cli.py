@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,24 @@ class TestDiscreteMode:
         trace = rows("trace.csv")
         assert [index(r[0]) for r in trace] == list(range(len(sol.trace)))
         assert [float(r[1]) for r in trace] == list(sol.trace)
+
+    @pytest.mark.parametrize("include_inter, header", [(True, "iter,total"), (False, "iter,intra_total")])
+    def test_trace_header_names_the_cost(self, tmp_path, include_inter, header):
+        # without the backhaul term the trace holds the access power alone
+        out = tmp_path / "out"
+        scenario = write_scenario(tmp_path, {
+            "sigma2": 1.0,
+            "theta": 1.0,
+            "density": uniform_density(),
+            "mode": {"discrete": {"K": 3, "include_inter": include_inter}},
+            "output_dir": str(out),
+        })
+        assert main(["run", scenario, "--quiet"]) == 0
+        assert read_header(out / "trace.csv") == header
+        cost = load_csv(out / "placement.csv")[:, 3].sum()
+        if include_inter:
+            cost += load_csv(out / "pairs.csv")[:, 3].sum()
+        assert load_csv(out / "trace.csv")[-1, 1] == pytest.approx(cost, rel=1e-12)
 
     def test_unknown_option_rejected(self, tmp_path):
         scenario = write_scenario(tmp_path, {
@@ -599,6 +618,51 @@ def junk_scenarios(draw):
 ABSENT = object()
 
 
+def one_string_csv(header, *columns):
+    """The writer's text built whole, as one join of every row."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns)
+    lines = [header, *(row % values for values in zip(*(c.tolist() for c in columns)))]
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("rows", [0, 1, cli._CSV_ROWS, cli._CSV_ROWS + 1, 3 * cli._CSV_ROWS + 7])
+    def test_same_bytes_as_one_string(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        floats = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+        cases = {
+            "floats": ("a,b", floats, rng.uniform(size=rows)),
+            "mixed": ("i,x,k", np.arange(rows), floats, rng.integers(-5, 5, size=rows)),
+        }
+        for name, (header, *columns) in cases.items():
+            path = tmp_path / f"{name}.csv"
+            cli._write_csv(path, header, *columns)
+            assert path.read_bytes() == one_string_csv(header, *columns).encode("utf-8")
+
+    def test_edge_values(self, tmp_path):
+        values = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0])
+        path = tmp_path / "edge.csv"
+        cli._write_csv(path, "i,v", np.arange(values.size), values)
+        text = path.read_text(encoding="utf-8")
+        assert text == one_string_csv("i,v", np.arange(values.size), values)
+        assert [float(line.split(",")[1]) for line in text.splitlines()[1:]] == values.tolist()
+        assert text.splitlines()[1] == "0,-0"
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        # the whole text, its join and its UTF-8 copy peaked at 34 MiB here
+        columns = np.linspace(0.0, 1.0, 200_001), np.linspace(-3.0, 3.0, 200_001) ** 3
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "big.csv", "y,v", *columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with open(tmp_path / "big.csv", encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 200_002
+
+
 class TestValidation:
     def base(self, tmp_path, **overrides):
         obj = {
@@ -779,6 +843,12 @@ class TestValidation:
             assert repr(unknown) in err.getvalue()
             assert "Traceback" not in err.getvalue()
             assert os.listdir(workdir) == ["scenario.json"]
+
+    def test_overflowing_throughput_is_named(self, tmp_path, capsys):
+        # 2**2000 overflows; the message used to be a bare "math range error"
+        assert main(["run", write_scenario(tmp_path, self.base(tmp_path, theta=2000))]) == 3
+        assert "throughput 2000.0 must be below 1024" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_terminal_count_is_an_unknown_key(self, tmp_path, capsys):
         # the solvers never read a terminal count, so a scenario does not take one

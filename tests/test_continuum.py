@@ -63,6 +63,12 @@ class TestDilationFactor:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(v > 1.0 for v in vals)
 
+    def test_limit_where_the_power_overflows(self):
+        # math.pow(2, t) overflows from t = 1024; the factor is 1.0 long before
+        assert dilation_factor(1e4) == 1.0
+        assert dilation_factor(1024.0) == 1.0
+        assert dilation_factor(1023.5) == 1.0 + 4.0 / (math.pow(2.0, 1023.5) - 1.0)
+
     def test_rejects_nonpositive(self):
         for t in (0.0, -1.0):
             with pytest.raises(ValueError):

@@ -130,6 +130,14 @@ class TestIntraAt:
             with pytest.raises(ValueError, match="positive finite number"):
                 RadioParams(noise_power, throughput)
 
+    def test_overflowing_throughput_is_named(self):
+        # 2**throughput overflows from 1024; it used to raise OverflowError
+        # ("math range error") only when the Shannon factor was read
+        for throughput in (1024.0, 2000.0):
+            with pytest.raises(ValueError, match=f"throughput {throughput!r} must be below 1024"):
+                RadioParams(1.0, throughput)
+        assert RadioParams(1.0, 1023.5).shannon_factor == math.pow(2.0, 1023.5) - 1.0
+
 
 class TestCellQuantities:
     def test_full_domain_uniform_second_moment(self):
