@@ -3,10 +3,11 @@
 naive_total_power re-derives the objective from the squared distance of
 every Simpson sample to its station, without the solver's per-station
 moment sums, and must agree with the solver's path to roundoff.
-brute_force_optimize searches a candidate grid exhaustively under a
-deliberately different quadrature, bounding how far the alternating
-optimizer can be from the global optimum. consistency_report then puts
-the finite-K optima next to the asymptotic prediction.
+brute_force_optimize solves the optimizer's problem exactly, for cells
+cut at a grid of candidates, by a dynamic program under a deliberately
+different quadrature; it bounds how far the alternating optimizer can
+be from the optimum. consistency_report then puts the finite-K optima
+next to the asymptotic prediction.
 """
 
 import numpy as np
@@ -38,8 +39,8 @@ print(f"difference            {abs(fast - slow):.2e}")
 candidates = np.linspace(-1.0, 1.0, 201)
 best = brute_force_optimize(d, 2, params, candidates)
 sol = optimize(d, 2, params)
-print(f"\nexhaustive search (201-point grid): {np.round(best.positions, 4)}, power {best.power:.8f}")
-print(f"alternating optimizer:              {np.round(np.sort(sol.positions.ravel()), 4)}, power {sol.report.total:.8f}")
+print(f"\nexact search (201 candidate cuts): {np.round(best.positions, 4)}, power {best.power:.8f}")
+print(f"alternating optimizer:             {np.round(np.sort(sol.positions.ravel()), 4)}, power {sol.report.total:.8f}")
 
 print("\ndiscrete spread vs asymptotic dilation (uniform terminals, theta = 1):")
 searches = [brute_force_optimize(d, K, params, candidates) for K in (1, 2, 3)]

@@ -6,12 +6,14 @@ consistency probe. The quadrature weights and the cost formula are
 re-derived inline on purpose; nothing here calls into the solver
 modules' arithmetic.
 
-The exhaustive search prices every K-subset from pair tables: a station
-at q owning cells [lo, hi) has access sum R_q(hi) − R_q(lo), with
-R_q(e) = w2[e] − 2q·w1[e] + q²·w0[e] over prefix sums of the cell
-weights and moments, which telescopes across consecutive stations to one
-table entry per pair. Subsets priced near the minimum are priced again
-per station, and that price picks the result.
+The exact search solves the problem `optimize` solves: any partition of
+the cells. For a fixed partition the best positions are kappa·c_i +
+(1 − kappa)·b (c_i the cell centroids, b the barycenter), and the total
+is then A·(kappa·W + (1 − kappa)·V), with W the cells' within-cell sum
+of squares and V the density's. So the best partition is the one of
+least W, a 1D k-means problem, solved exactly on a grid of allowed cuts
+by dynamic programming (Wang & Song, "Ckmeans.1d.dp", R Journal 2011;
+Grønlund et al., arXiv 1701.07204).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "consistency_report",
 ]
 
-MAX_STATIONS = 3
 MAX_CANDIDATES = 401
 
 
@@ -47,9 +48,11 @@ def naive_total_power(positions, assignment, d: DensityField, params: RadioParam
     Mirrors the published objective term by term: per-cell Simpson
     integral of the squared access distance, taken from the squared
     distance of each Simpson sample to the cell's station, and
-    traffic-weighted backhaul over ordered station pairs. Vectorized
-    over cells but independent of the solver's moment sums; agrees with
-    them to roundoff on the same grid.
+    traffic-weighted backhaul over ordered station pairs. A cell's
+    samples are every combination of low node, midpoint and high node
+    per axis (3 in 1D, 9 in 2D), read from the density's own Simpson
+    samples. Vectorized over cells but independent of the solver's
+    moment sums; agrees with them to roundoff on the same grid.
     """
     ndim = d.domain.ndim
     pos = np.asarray(positions, dtype=float).reshape(-1, ndim)
@@ -60,22 +63,16 @@ def naive_total_power(positions, assignment, d: DensityField, params: RadioParam
     axes = d.domain.axes
     mids = [0.5 * (g[:-1] + g[1:]) for g in axes]
     shape = tuple(m.size for m in mids)
-    # values at each pattern of node (False) or midpoint (True) per axis, one eval per pattern
-    tables = {}
-    for pattern in itertools.product((False, True), repeat=ndim):
-        grids = [m if mid else g for g, m, mid in zip(axes, mids, pattern)]
-        values = d.eval(np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1)) if any(pattern) else d.values
-        tables[pattern] = np.reshape(values, [g.size for g in grids])
     p = [pos[assign, k].reshape(shape) for k in range(ndim)]
-    # (sample coordinate, node slice, is midpoint, Simpson weight) per axis
+    # (sample coordinate, its slice of the Simpson samples, Simpson weight) per axis
     samples = (
-        ((g[:-1], np.s_[:-1], False, 1.0), (m, np.s_[:], True, 4.0), (g[1:], np.s_[1:], False, 1.0))
+        ((g[:-1], np.s_[:-1:2], 1.0), (m, np.s_[1::2], 4.0), (g[1:], np.s_[2::2], 1.0))
         for g, m in zip(axes, mids)
     )
     s_m, s_i = np.zeros(shape), np.zeros(shape)
     for combo in itertools.product(*samples):
-        coords, slices, pattern, weights = zip(*combo)
-        val = functools.reduce(operator.mul, weights) * tables[pattern][slices]
+        coords, slices, weights = zip(*combo)
+        val = functools.reduce(operator.mul, weights) * d._stencil[slices]
         s_m += val
         s_i += val * functools.reduce(np.add, ((c - q) ** 2 for c, q in zip(np.ix_(*coords), p)))
     w = functools.reduce(np.multiply.outer, map(np.diff, axes)) / 6.0**ndim
@@ -93,82 +90,56 @@ def naive_total_power(positions, assignment, d: DensityField, params: RadioParam
     return total
 
 
-def _midpoint_weights(d: DensityField):
+def _midpoint_sums(d: DensityField):
+    """Cell midpoints, the barycenter b of the midpoint weights, and the
+    prefix sums S0, S1, S2 of w, w·x and w·(x² + h²/12), each starting at 0.
+
+    A cell of width h has the weight w = f(midpoint)·h, spread evenly
+    over the cell; x is its midpoint less b, and h²/12 the spread's
+    second moment about the midpoint.
+    """
     if d.domain.ndim != 1:
         raise ValueError("the brute-force search is 1D")
-    x = d.domain.axis(0)
-    centers = 0.5 * (x[:-1] + x[1:])
-    return centers, d.eval(centers) * np.diff(x)
-
-
-def _prefix_sums(w, x):
-    """Prefix sums of w, w·x and w·x², each starting at 0."""
+    grid = d.domain.axis(0)
+    h = np.diff(grid)
+    centers = 0.5 * (grid[:-1] + grid[1:])
+    w = d.eval(centers) * h
+    b = float(np.sum(w * centers) / np.sum(w))
+    x = centers - b
     zero = np.zeros(1)
-    return tuple(np.concatenate([zero, np.cumsum(t)]) for t in (w, w * x, w * x**2))
+    S0, S1, S2 = (np.concatenate([zero, np.cumsum(t)]) for t in (w, w * x, w * (x * x + h * h / 12.0)))
+    return centers, b, S0, S1, S2
+
+
+def _gain_and_kappa(d: DensityField, params: RadioParams):
+    """A = sigma2·(2^theta − 1) and kappa = A / (A + 2·sigma2·tau), tau the density's throughput."""
+    gain = params.noise_power * (2.0 ** params.throughput - 1.0)
+    return gain, gain / (gain + 2.0 * params.noise_power * d.throughput)
 
 
 def midpoint_total_power(positions, d: DensityField, params: RadioParams) -> float:
-    """Total power under midpoint-rule quadrature and nearest-station cells.
+    """Total power under midpoint-rule quadrature, on the best cells for the positions.
 
-    The deliberately different quadrature makes agreement with the main
-    path a real cross-check rather than a reimplementation; expect
-    grid-resolution-level differences, not roundoff-level ones.
+    Each cell goes to the station whose generator b + (p − b)/kappa lies
+    nearest its midpoint. These power-diagram cells are the optimum's
+    cells, and at `brute_force_optimize`'s positions they cost no more
+    than its own cells, up to rounding. The deliberately different
+    quadrature makes agreement with the main path a real cross-check
+    rather than a reimplementation; expect grid-resolution-level
+    differences, not roundoff-level ones.
     """
-    q = np.sort(np.asarray(positions, dtype=float).reshape(-1))
-    centers, w = _midpoint_weights(d)
-    cost = _tuple_costs(q[None, :], centers, *_prefix_sums(w, centers), d.throughput, params)
-    return float(cost[0])
-
-
-def _tuple_costs(Q, centers, w0, w1, w2, throughput, params):
-    """Vectorized midpoint-rule cost of each sorted candidate tuple."""
-    T, K = Q.shape
-    n = centers.size
-    edges = np.empty((T, K + 1), dtype=np.intp)
-    edges[:, 0] = 0
-    edges[:, K] = n
-    for j in range(K - 1):
-        # ties at the shared boundary go to the lower-index station
-        edges[:, j + 1] = np.searchsorted(centers, 0.5 * (Q[:, j] + Q[:, j + 1]), side="right")
-    s0 = w0[edges[:, 1:]] - w0[edges[:, :-1]]
-    s1 = w1[edges[:, 1:]] - w1[edges[:, :-1]]
-    s2 = w2[edges[:, 1:]] - w2[edges[:, :-1]]
-
-    gain = params.noise_power * (2.0 ** params.throughput - 1.0)
-    intra = gain * np.sum(s2 - 2.0 * Q * s1 + Q * Q * s0, axis=1)
-
-    traffic = throughput * s0
-    m = traffic.sum(axis=1)
-    inter = np.zeros(T)
-    for i in range(K):
-        for j in range(K):
-            if i != j:
-                inter += traffic[:, i] * traffic[:, j] * (Q[:, i] - Q[:, j]) ** 2
-    return intra + params.noise_power * inter / m
-
-
-def _prepend(first, sums, links, lo, hi):
-    """Prepend each lead in [lo, hi) to the subsets that start above it.
-
-    `first` holds the first index of every k-subset, in lexicographic
-    order, and `sums` their linked sums. Returns, for every (k+1)-subset
-    with its lead in [lo, hi) and again in lexicographic order, the lead,
-    the k-subset's position and the sums with the lead's link added.
-    """
-    leads = np.arange(lo, hi)
-    start = np.searchsorted(first, leads, side="right")
-    count = first.size - start
-    lead = np.repeat(leads, count)
-    idx = np.arange(lead.size) + np.repeat(start - (np.cumsum(count) - count), count)
-    nxt = first[idx]
-    return lead, idx, [link[lead, nxt] + s[idx] for link, s in zip(links, sums)]
-
-
-# subsets priced per block, which bounds memory at any candidate count; the
-# result does not depend on it. Over 151 candidates, K = 3 traces 2.4 MB at
-# this block (5.9 MB at 1 << 16) and K = 1-3 takes about 19 ms (20 ms), on
-# 2 vCPUs: smaller blocks stay in cache
-_BLOCK = 1 << 14
+    centers, b, S0, S1, S2 = _midpoint_sums(d)
+    gain, kappa = _gain_and_kappa(d, params)
+    p = np.sort(np.asarray(positions, dtype=float).reshape(-1)) - b
+    q = b + p / kappa
+    # ties at a shared boundary go to the lower station
+    inner = np.searchsorted(centers, 0.5 * (q[:-1] + q[1:]), side="right")
+    edges = np.concatenate([[0], inner, [centers.size]])
+    s0, s1, s2 = (S[edges[1:]] - S[edges[:-1]] for S in (S0, S1, S2))
+    traffic = d.throughput * s0
+    access = gain * np.sum(s2 - 2.0 * p * s1 + p * p * s0)
+    backhaul = params.noise_power * (traffic @ np.subtract.outer(p, p) ** 2 @ traffic) / traffic.sum()
+    return float(access + backhaul)
 
 
 @dataclass
@@ -181,40 +152,23 @@ class BruteForceResult:
 def brute_force_optimize(
     d: DensityField, K: int, params: RadioParams, candidates
 ) -> BruteForceResult:
-    """Exhaustive search over all K-subsets of a candidate position grid.
+    """The least total power of K stations whose cells are cut at candidates.
 
-    Each subset is costed under midpoint quadrature with nearest-station
-    assignment; the global grid minimum is returned with deterministic
-    tie-breaking (lexicographically smallest tuple). Kept small on
-    purpose: the subset count explodes combinatorially.
+    Exact over every partition of the cells into K runs whose boundaries
+    lie on the cut grid: for each candidate the first cell whose
+    midpoint is at or above it, and both ends. Each run's
+    station sits at kappa·c_i + (1 − kappa)·b, so the total is
+    A·(kappa·W + (1 − kappa)·V) under midpoint quadrature, and the search
+    minimizes W. Over the runs from cut i to cut j, W = ΔS2 − ΔS1²/ΔS0
+    in the prefix sums about b; a run without mass has no centroid and
+    is priced at inf. The least W of k runs ending at cut j is
+    min_i best_{k−1}[i] + W(i, j): one numpy min over a (C+2)² table per
+    level, O(K·C²) for C candidates, the first argmin breaking ties.
 
-    Every subset is priced, from pair tables rather than per station.
-    With prefix sums w0, w1, w2 of the cell weights and moments, a station
-    at q owning cells [lo, hi) has access sum R_q(hi) − R_q(lo), where
-    R_q(e) = w2[e] − 2q·w1[e] + q²·w0[e] and R_q(0) = 0. A pair's shared
-    boundary e depends on that pair alone, so a subset's sum telescopes
-    to Σ_pairs [R_a(e) − R_b(e)] + R_last(n). Σ t_j q_j and Σ t_j q_j²
-    telescope the same way in w0, and the backhaul sum is
-    2σ²·(Σ t q² − (Σ t q)²/m) with m = θ·w0[n]. The tables use coordinates
-    centred on the candidates: exact, as the cost is translation-invariant,
-    and free of cancellation far from the origin.
-
-    Re-pricing rule: every subset whose table price lies within a window
-    of the table minimum is priced again by `_tuple_costs` (the formula of
-    `midpoint_total_power`), and the result is that price's first argmin.
-    Both prices round the same exact cost. Each prefix sum adds at most n
-    terms bounded by W·X^k (W = w0[n], X the largest coordinate magnitude
-    of cells and candidates, at most 2X once centred), so recursive
-    summation keeps it within (n+1)·u of that bound (Higham 2002, §4.2;
-    u the unit roundoff). Through K station or pair terms each price is
-    then within 16·K·(n+2)·u·S of the exact cost, S = W·X²·(gain + 2σ²θ),
-    and the true minimum's table price within 2·32·K·(n+2)·u·S, the
-    window, of the table minimum. Sized from what the reference sums, not
-    from the result, the window covers its rounding far off-centre too.
+    Returns the stations in increasing order with their traffic. Raises
+    ValueError when the grid cannot be cut into K runs of positive mass.
     """
-    if d.domain.ndim != 1:
-        raise ValueError("the brute-force search is 1D")
-    _check_count(K, "station count", 1, MAX_STATIONS)
+    _check_count(K, "station count", 1)
     if _non_numeric(candidates):
         raise ValueError("candidates must be numeric, not strings or booleans")
     cand = np.unique(np.asarray(candidates, dtype=float).reshape(-1))
@@ -225,61 +179,34 @@ def brute_force_optimize(
     if not d.domain.contains(cand).all():
         raise ValueError("candidates must lie inside the domain")
 
-    centers, w = _midpoint_weights(d)
-    w0, w1, w2 = _prefix_sums(w, centers)
-    C, n, W = cand.size, centers.size, w0[-1]
-    gain = params.noise_power * (2.0 ** params.throughput - 1.0)
-    g = 2.0 * params.noise_power * d.throughput
+    centers, b, S0, S1, S2 = _midpoint_sums(d)
+    gain, kappa = _gain_and_kappa(d, params)
+    cuts = np.unique(np.concatenate([[0, centers.size], np.searchsorted(centers, cand)]))
+    s0, s1, s2 = (S[cuts][None, :] - S[cuts][:, None] for S in (S0, S1, S2))
+    # the runs from cut i to a later cut j that carry mass: S0 never falls
+    run = s0 > 0
+    W = np.full(s0.shape, np.inf)
+    W[run] = s2[run] - s1[run] ** 2 / s0[run]
 
-    shift = 0.5 * (cand[0] + cand[-1])
-    q = cand - shift
-    _, v1, v2 = _prefix_sums(w, centers - shift)
-    # first cell of each pair's upper station: the float and the integer
-    # _tuple_costs computes for that pair inside a tuple
-    e = np.searchsorted(centers, 0.5 * (cand[:, None] + cand[None, :]), side="right")
-    dq = q[:, None] - q[None, :]
-    # link tables: [a, b] for consecutive stations a < b, column C closes a tuple
-    link_a = np.empty((C, C + 1))
-    link_s = np.empty((C, C + 1))
-    link_a[:, :C] = dq * ((gain + g) * (q[:, None] + q[None, :]) * w0[e] - 2.0 * gain * v1[e])
-    link_a[:, C] = gain * (v2[n] - 2.0 * q * v1[n]) + (gain + g) * q * q * W
-    link_s[:, :C] = dq * w0[e]
-    link_s[:, C] = q * W
-
-    # the (K-1)-subsets in lexicographic order and their linked sums; the
-    # 0-subset is closed by column C
-    links = (link_a, link_s)
-    first, rows, sums = np.array([C]), np.empty((1, 0), dtype=np.intp), [np.zeros(1)] * 2
-    for _ in range(K - 1):
-        first, idx, sums = _prepend(first, sums, links, 0, C)
-        rows = np.column_stack([first, rows[idx]])
-
-    u = np.finfo(float).eps / 2
-    X = max(abs(centers[0]), abs(centers[-1]), abs(cand[0]), abs(cand[-1]))
-    window = 64.0 * K * (n + 2) * u * W * X * X * (gain + g)
-    fast_min = best_cost = math.inf
-    best = None
-    # lead 0 starts the most subsets; leads past C - K start none
-    step = max(1, _BLOCK // (first.size - int(np.searchsorted(first, 0, side="right"))))
-    for lo in range(0, C - K + 1, step):
-        lead, idx, (fast_a, fast_s) = _prepend(first, sums, links, lo, min(lo + step, C))
-        fast = fast_a - (g / W) * fast_s * fast_s
-        fast_min = min(fast_min, float(fast.min()))
-        near = np.flatnonzero(~(fast > fast_min + window))  # NaN is re-priced too
-        if near.size == 0:
-            continue
-        Q = cand[np.column_stack([lead[near], rows[idx[near]]])]
-        costs = _tuple_costs(Q, centers, w0, w1, w2, d.throughput, params)
-        k = int(np.argmin(costs))
-        # strict < keeps the earlier tuple: blocks run lexicographically
-        if costs[k] < best_cost:
-            best_cost = float(costs[k])
-            best = Q[k]
-
-    edges = np.searchsorted(centers, 0.5 * (best[:-1] + best[1:]), side="right")
-    edges = np.concatenate([[0], edges, [centers.size]])
-    traffic = d.throughput * (w0[edges[1:]] - w0[edges[:-1]])
-    return BruteForceResult(positions=best, power=best_cost, traffic=traffic)
+    best = np.full(cuts.size, np.inf)
+    best[0] = 0.0
+    back = []
+    for _ in range(K):
+        total = best[:, None] + W
+        back.append(np.argmin(total, axis=0))
+        best = total[back[-1], np.arange(cuts.size)]
+    if not best[-1] < math.inf:
+        raise ValueError(f"the candidates cannot cut {K} cells of positive mass")
+    path = [cuts.size - 1]
+    for arg in reversed(back):
+        path.append(arg[path[-1]])
+    edges = cuts[path[::-1]]
+    s0, s1 = (S[edges[1:]] - S[edges[:-1]] for S in (S0, S1))
+    return BruteForceResult(
+        positions=b + kappa * s1 / s0,
+        power=float(gain * (kappa * best[-1] + (1.0 - kappa) * W[0, -1])),
+        traffic=d.throughput * s0,
+    )
 
 
 @dataclass

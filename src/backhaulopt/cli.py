@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .brute_force import MAX_CANDIDATES, MAX_STATIONS, brute_force_optimize, consistency_report
+from .brute_force import MAX_CANDIDATES, brute_force_optimize, consistency_report
 from .continuum import Measure1D, iterate_fixed_point, optimal_station_density
 from .density import DemandField, DensityField, Domain, FunctionSpec, fold_demand
 from .discrete_placement import OptimizerConfig, optimize
@@ -221,8 +221,8 @@ def _run_closed_form(d, params, outdir, quiet) -> int:
 def _run_compare(d, params, outdir, quiet, K, candidates=101) -> int:
     if not isinstance(K, list) or not K:
         raise ScenarioError("mode.compare K must be a nonempty list")
-    if len(K) > MAX_STATIONS:
-        raise ScenarioError(f"at most {MAX_STATIONS} station counts per report")
+    if len(K) > MAX_CANDIDATES:
+        raise ScenarioError(f"at most {MAX_CANDIDATES} station counts per report")
     Ks = [_number("K", k, operator.index) for k in K]
     if not isinstance(candidates, list):  # a count; brute_force_optimize checks a list
         count = _number("candidates", candidates, operator.index)

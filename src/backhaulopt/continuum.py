@@ -189,10 +189,12 @@ class Measure1D:
 
 def _on_common_nodes(a: Measure1D, b: Measure1D):
     """The union of the grids and |a - b| there, each node interpolant zero off-support."""
-    nodes = np.union1d(a.grid, b.grid)
-    va, vb = (np.interp(nodes, m.grid, m.values, left=0.0, right=0.0) for m in (a, b))
-    va -= vb
-    return nodes, np.abs(va, out=va)
+    ga, gb = a.grid, b.grid  # each access builds a fresh linspace
+    nodes = np.union1d(ga, gb)
+    diff = np.interp(nodes, ga, a.values, left=0.0, right=0.0)
+    del ga  # not held while b is interpolated
+    diff -= np.interp(nodes, gb, b.values, left=0.0, right=0.0)
+    return nodes, np.abs(diff, out=diff)
 
 
 def sup_distance(a: Measure1D, b: Measure1D) -> float:

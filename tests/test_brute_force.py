@@ -6,11 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from backhaulopt import brute_force
 from backhaulopt.brute_force import (
-    _midpoint_weights,
-    _prefix_sums,
-    _tuple_costs,
     brute_force_optimize,
     consistency_report,
     midpoint_total_power,
@@ -122,8 +118,9 @@ class TestNaiveReference:
                     assert naive_total_power(pos, assign, d, params) == loop_total_power(pos, assign, d, params)
 
     def test_memory_is_linear_in_cells(self):
-        # one eval per pattern of node or midpoint per axis: evaluating every
-        # Simpson point at once took 385 bytes per cell on the 201 x 201 grid
+        # the Simpson samples are read in place, per pattern of node or midpoint
+        # per axis: evaluating every Simpson point at once took 385 bytes per
+        # cell on the 201 x 201 grid
         rng = np.random.default_rng(5)
         for resolution in [(201, 201), (20_001,)]:
             ndim = len(resolution)
@@ -173,11 +170,17 @@ class TestNaiveReference:
 
 class TestMidpointReference:
     def test_close_to_main_path(self):
+        # a cell's midpoint weight spread evenly over the cell integrates a
+        # uniform density exactly, so there the two paths agree to roundoff
         d = uniform_field()
         pos = np.array([0.25, 0.75])
         report = total_power(pos, voronoi_partition(pos, d), d, PARAMS)
+        assert midpoint_total_power(pos, d, PARAMS) == pytest.approx(report.total, rel=1e-14)
+        # on a normal density the quadratures differ: grid-level, not roundoff-level
+        d = normal_field()
+        pos = np.array([-1.0, 1.0])  # symmetric, so the power cells are the nearest-station cells
+        report = total_power(pos, voronoi_partition(pos, d), d, PARAMS)
         mid = midpoint_total_power(pos, d, PARAMS)
-        # different quadrature: agreement is grid-level, not roundoff-level
         assert abs(mid - report.total) <= 1e-5
         assert abs(mid - report.total) > 0.0
 
@@ -192,14 +195,14 @@ class TestBruteForce:
     def test_single_station_uniform(self):
         d = uniform_field()
         res = brute_force_optimize(d, 1, PARAMS, np.linspace(0.0, 1.0, 101))
-        assert res.positions[0] == 0.5
+        assert res.positions[0] == pytest.approx(0.5, abs=1e-12)
         assert res.power == pytest.approx(1.0 / 12.0, abs=1e-6)
         assert res.traffic.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_single_station_normal(self):
         d = normal_field()
         res = brute_force_optimize(d, 1, PARAMS, np.linspace(-8.0, 8.0, 81))
-        assert res.positions[0] == 0.0
+        assert res.positions[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_two_stations_beat_the_naive_layout(self):
         d = uniform_field()
@@ -218,24 +221,38 @@ class TestBruteForce:
         assert a.power == b.power
 
     def test_not_beaten_by_random_tuples(self):
+        # random choices of K - 1 inner cuts from the cut grid, each priced by direct sums
         d = normal_field()
         cand = np.linspace(-4.0, 4.0, 81)
-        res = brute_force_optimize(d, 2, PARAMS, cand)
+        res = brute_force_optimize(d, 5, PARAMS, cand)
+        runs = RunPrices(d, PARAMS, cand)
         rng = np.random.default_rng(13)
-        for _ in range(50):
-            pick = rng.choice(cand, size=2, replace=False)
-            assert midpoint_total_power(pick, d, PARAMS) >= res.power - 1e-12
+        for _ in range(200):
+            inner = np.sort(rng.choice(runs.cuts[1:-1], size=4, replace=False))
+            assert res.power <= runs.total(inner)[0] * (1.0 + 1e-12)
 
     def test_station_count_limits(self):
         d = uniform_field(101)
         cand = np.linspace(0.0, 1.0, 11)
-        for K in (0, 4):
+        # 11 candidates, two of them at the ends, cut the grid into 10 runs
+        for K in (0, 11, 12):
             with pytest.raises(ValueError):
                 brute_force_optimize(d, K, PARAMS, cand)
+        assert len(brute_force_optimize(d, 10, PARAMS, cand).positions) == 10
         # True is not a count of 1, nor 2.0 one of 2
         for K in (True, 2.0):
             with pytest.raises(ValueError, match="whole number"):
                 brute_force_optimize(d, K, PARAMS, cand)
+
+    def test_runs_without_mass_are_not_cells(self):
+        # no mass left of 0.5: a cut there leaves a run without a centroid
+        dom = Domain.interval(0.0, 1.0, 101)
+        d = DensityField.from_values(dom, np.where(dom.axis(0) > 0.5, 1.0, 0.0))
+        with pytest.raises(ValueError, match="positive mass"):
+            brute_force_optimize(d, 2, PARAMS, np.array([0.2, 0.3]))
+        res = brute_force_optimize(d, 2, PARAMS, np.array([0.2, 0.3, 0.8]))
+        assert np.all(res.traffic > 0.0)
+        assert res.positions[0] > 0.5
 
     def test_candidates_must_be_numbers(self):
         # numpy reads True and False as 1 and 0, and "0.5" as 0.5
@@ -269,19 +286,47 @@ class TestBruteForce:
             brute_force_optimize(d, 1, PARAMS, np.linspace(0.1, 0.9, 5))
 
 
-def enumerated_search(d, K, params, candidates):
-    """`brute_force_optimize` as a plain enumeration: every K-subset, in
-    lexicographic order, priced by the per-station formula; the first
-    minimum wins."""
-    cand = np.unique(candidates)
-    centers, w = _midpoint_weights(d)
-    w0, w1, w2 = _prefix_sums(w, centers)
-    Q = np.array(list(itertools.combinations(cand, K)))
-    costs = _tuple_costs(Q, centers, w0, w1, w2, d.throughput, params)
-    k = int(np.argmin(costs))
-    edges = np.searchsorted(centers, 0.5 * (Q[k, :-1] + Q[k, 1:]), side="right")
-    edges = np.concatenate([[0], edges, [centers.size]])
-    return Q[k], float(costs[k]), d.throughput * (w0[edges[1:]] - w0[edges[:-1]])
+class RunPrices:
+    """The problem `brute_force_optimize` solves, priced run by run with loops.
+
+    The cut grid is the first cell at or above each candidate and both
+    ends. A run of cells from cut i to cut j is summed directly about its
+    own centroid, each cell's midpoint weight spread evenly over the
+    cell; a run without mass is None.
+    """
+
+    def __init__(self, d, params, candidates):
+        x = d.domain.axis(0)
+        h = np.diff(x)
+        centers = 0.5 * (x[:-1] + x[1:])
+        self.w = d.eval(centers) * h
+        self.centers, self.spread = centers, h * h / 12.0
+        self.cuts = np.unique(np.concatenate([[0, centers.size], np.searchsorted(centers, candidates)]))
+        self.tau = d.throughput
+        self.gain = params.noise_power * (2.0 ** params.throughput - 1.0)
+        self.kappa = self.gain / (self.gain + 2.0 * params.noise_power * d.throughput)
+        self.b, self.V = self.run(0, centers.size)
+        self._runs = {}
+
+    def run(self, lo, hi):
+        """(centroid, within-run sum of squares) of cells lo..hi - 1, or None."""
+        w, c = self.w[lo:hi], self.centers[lo:hi]
+        mass = w.sum()
+        if not mass > 0:
+            return None
+        mean = float(np.sum(w * c) / mass)
+        return mean, float(np.sum(w * ((c - mean) ** 2 + self.spread[lo:hi])))
+
+    def total(self, inner):
+        """(total power, positions, traffic) of the runs cut at `inner`, or None."""
+        edges = [0, *inner, self.centers.size]
+        runs = [self._runs.setdefault(e, self.run(*e)) for e in zip(edges[:-1], edges[1:])]
+        if None in runs:
+            return None
+        W = sum(r[1] for r in runs)
+        positions = np.array([self.b + self.kappa * (r[0] - self.b) for r in runs])
+        traffic = np.array([self.tau * self.w[lo:hi].sum() for lo, hi in zip(edges[:-1], edges[1:])])
+        return self.gain * (self.kappa * W + (1.0 - self.kappa) * self.V), positions, traffic
 
 
 MIRRORED = np.array([-0.75, -0.25, 0.25, 0.75])
@@ -290,16 +335,15 @@ NEAR_1E4 = 1e4 + 1.0 / 3.0
 
 @st.composite
 def search_instances(draw):
-    """A 1D density, 3-41 candidates, K and radio parameters.
+    """A 1D density, 3-12 candidates, K and radio parameters.
 
     "mirrored" draws a uniform density on a dyadic grid and candidates in
-    mirror pairs. At the origin every cost is exact and mirror subsets tie
-    exactly; near 1e4 they tie up to the reference's own rounding. The
-    other shapes draw node values or a normal density, at an offset of up
-    to 1e4 from the origin.
+    mirror pairs, whose mirror partitions tie, at the origin or near 1e4.
+    The other shapes draw node values (some of them 0, so runs can lack
+    mass) or a normal density, at an offset of up to 1e4 from the origin.
     """
     shape = draw(st.sampled_from(["mirrored", "values", "normal"]))
-    K = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 4))
     if shape == "mirrored":
         offset = draw(st.sampled_from([0.0, NEAR_1E4]))
         half = 2.0 ** draw(st.integers(-2, 3))
@@ -307,7 +351,7 @@ def search_instances(draw):
         d = DensityField.from_spec(
             FunctionSpec("uniform", {}), 1.0, Domain.interval(offset - half, offset + half, steps + 1)
         )
-        picks = draw(st.lists(st.integers(1, steps // 2), min_size=2, max_size=20, unique=True))
+        picks = draw(st.lists(st.integers(1, steps // 2), min_size=2, max_size=6, unique=True))
         right = half * np.array(picks) / (steps // 2)
         cand = offset + np.concatenate([-right, right])
     else:
@@ -323,7 +367,7 @@ def search_instances(draw):
             mu = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
             spec = FunctionSpec("normal", {"mu": mu, "sigma": draw(st.floats(0.05, 3.0))})
             d = DensityField.from_spec(spec, draw(st.floats(0.1, 4.0)), dom)
-        fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=41))
+        fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=12))
         cand = lo + (hi - lo) * np.array(fractions)
     params = RadioParams(
         noise_power=draw(st.floats(0.01, 100.0)), throughput=draw(st.floats(0.05, 4.0))
@@ -345,66 +389,57 @@ def uniform_on(lo, hi, nodes):
 class TestExhaustiveSearch:
     @settings(max_examples=80)
     @given(instance=search_instances())
-    @example(instance=(normal_on(1e4), 3, PARAMS, np.linspace(1e4 - 3.9, 1e4 + 3.9, 41)))
-    @example(instance=(normal_on(0.0), 2, PARAMS, np.linspace(-4.0, 4.0, 41)))
-    # mirror triples tie exactly; the table prices break the tie the other way
+    @example(instance=(normal_on(1e4), 3, PARAMS, np.linspace(1e4 - 3.9, 1e4 + 3.9, 12)))
+    @example(instance=(normal_on(0.0), 2, PARAMS, np.linspace(-4.0, 4.0, 12)))
+    # the two mirror partitions tie exactly
     @example(instance=(uniform_on(-1.0, 1.0, 17), 3, RadioParams(1.5, 1.5), MIRRORED))
-    # pairs whose exact costs differ by less than the reference's rounding
-    # near 1e4, which a window of 1e-9 relative to the minimum misses
-    @example(
-        instance=(
-            uniform_on(NEAR_1E4 - 1.0, NEAR_1E4 + 1.0, 65),
-            2,
-            PARAMS,
-            NEAR_1E4 + np.array([-0.25, -0.125, 0.125 - 2.2e-8, 0.25 - 2.2e-8]),
-        )
-    )
+    @example(instance=(uniform_on(NEAR_1E4 - 1.0, NEAR_1E4 + 1.0, 65), 2, PARAMS, NEAR_1E4 + MIRRORED))
     def test_equals_the_plain_enumeration(self, instance):
+        # every choice of K - 1 inner cuts from the cut grid, priced run by run
         d, K, params, cand = instance
-        res = brute_force_optimize(d, K, params, cand)
-        positions, power, traffic = enumerated_search(d, K, params, cand)
-        np.testing.assert_array_equal(res.positions, positions)
-        assert res.power == power
-        np.testing.assert_array_equal(res.traffic, traffic)
-
-    @pytest.mark.parametrize("block", [1 << 6, 1 << 16])
-    def test_answer_does_not_depend_on_the_block(self, monkeypatch, block):
-        # the window re-prices the true minimum in any block, and the strict
-        # < keeps the lexicographically first of ties across blocks
-        rng = np.random.default_rng(24)
-        instances = []
-        for _ in range(20):
-            lo = rng.uniform(-5.0, 5.0)
-            hi = lo + rng.uniform(0.5, 8.0)
-            dom = Domain.interval(lo, hi, int(rng.integers(3, 400)))
-            d = DensityField.from_values(dom, rng.uniform(0.0, 1.0, dom.resolution[0]), rng.uniform(0.1, 4.0))
-            cand = lo + (hi - lo) * rng.uniform(0.0, 1.0, int(rng.integers(3, 60)))
-            params = RadioParams(rng.uniform(0.01, 100.0), rng.uniform(0.05, 4.0))
-            instances.append((d, params, cand))
-        expected = [[brute_force_optimize(d, K, p, c) for K in (1, 2, 3)] for d, p, c in instances]
-        monkeypatch.setattr(brute_force, "_BLOCK", block)
-        for (d, params, cand), results in zip(instances, expected):
-            for K, want in zip((1, 2, 3), results):
-                got = brute_force_optimize(d, K, params, cand)
-                np.testing.assert_array_equal(got.positions, want.positions)
-                assert got.power == want.power
-                np.testing.assert_array_equal(got.traffic, want.traffic)
+        runs = RunPrices(d, params, cand)
+        priced = [runs.total(inner) for inner in itertools.combinations(runs.cuts[1:-1], K - 1)]
+        priced = [p for p in priced if p is not None]
+        try:
+            res = brute_force_optimize(d, K, params, cand)
+        except ValueError as exc:
+            # the prefix sums read a run of less mass than their rounding as empty
+            assert "positive mass" in str(exc)
+            assert all(min(traffic) <= 1e-12 * sum(traffic) for _, _, traffic in priced)
+            return
+        least = min(p[0] for p in priced)
+        assert res.power == pytest.approx(least, rel=1e-9)
+        # the result is one of the least partitions, at its positions and
+        # traffic up to the rounding of the prefix sums, which scales with
+        # the total mass: a run of little mass has a rough centroid
+        atol = 1e-9 * res.traffic.sum()
+        width = float(np.ptp(runs.centers))
+        assert any(
+            power <= least * (1.0 + 1e-9)
+            and np.allclose(res.traffic, traffic, rtol=0.0, atol=atol)
+            and np.allclose(
+                res.traffic * (res.positions - runs.b), traffic * (positions - runs.b), rtol=0.0, atol=atol * width
+            )
+            for power, positions, traffic in priced
+        )
+        # the stations' power cells cost no more than the cut runs they came from
+        assert midpoint_total_power(res.positions, d, params) <= res.power * (1.0 + 1e-12)
 
     def test_memory_at_the_cap(self):
-        # 401 candidates and K = 3 are 10 695 100 subsets. The search that
-        # priced them per station, 200 000 at a time, peaked at 48.40 MiB
-        # traced here and returned the same placement and power.
+        # 401 inner candidates cut the grid into 402 runs; the DP's tables are
+        # (C + 2)² floats, and its back-pointers K·(C + 2) indices
         d = normal_on(0.0)
         cand = np.linspace(-3.9, 3.9, 401)
-        tracemalloc.start()
-        try:
-            res = brute_force_optimize(d, 3, PARAMS, cand)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 48.40 * 2**20
-        np.testing.assert_array_equal(res.positions, cand[[184, 201, 217]])
-        assert res.power == 0.7630158901779209
+        for K, power in ((3, 0.7291637874481989), (401, 0.6659644648268902)):
+            tracemalloc.start()
+            try:
+                res = brute_force_optimize(d, K, PARAMS, cand)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 12 * 2**20
+            assert res.power == pytest.approx(power, rel=1e-12)
+            assert np.all(np.diff(res.positions) > 0.0)
 
 
 def searches(d, params, Ks, candidates):
@@ -450,3 +485,20 @@ class TestConsistencyReport:
         d = uniform_field(101)  # barycenter 0.5
         with pytest.raises(ValueError):
             consistency_report(d, searches(d, PARAMS, [1], np.linspace(0.1, 0.9, 21)))
+
+    @pytest.mark.parametrize("theta", [1.0, 2.0, 3.0])
+    def test_many_stations_contract_by_kappa(self, theta):
+        # Under the model's cost the stations sit at kappa·c_i + (1 − kappa)·b,
+        # so as K grows their traffic-weighted spread tends to kappa·spread(f),
+        # kappa = (2^theta − 1) / (2^theta − 1 + 2·tau), here with tau = theta.
+        # The fixed-point scheme dilates by lambda = 1 + 4/(2^theta − 1); the two
+        # coefficients 2·tau and 4 agree at tau = 2, so kappa = 1/lambda only there.
+        d = DensityField.from_spec(
+            FunctionSpec("normal", {"mu": 0.0, "sigma": 1.0}), theta, Domain.interval(-4.0, 4.0, 4001)
+        )
+        params = RadioParams(1.0, theta)
+        row = consistency_report(d, searches(d, params, [128], np.linspace(-4.0, 4.0, 401)))[0]
+        shannon = 2.0**theta - 1.0
+        kappa = shannon / (shannon + 2.0 * theta)
+        assert abs(row.ratio - kappa) <= 1e-3
+        assert (abs(row.ratio - 1.0 / row.dilation) <= 1e-3) == (theta == 2.0)

@@ -489,11 +489,23 @@ class TestCompareMode:
             "sigma2": 1.0,
             "theta": 1.0,
             "density": uniform_density(-1.0, 1.0),
-            "mode": {"compare": {"K": [1, 2, 3, 3], "candidates": 21}},
+            "mode": {"compare": {"K": [1] * 402, "candidates": 21}},
             "output_dir": str(tmp_path / "out"),
         })
         assert main(["compare", scenario]) == 3
         assert "station counts" in capsys.readouterr().err
+
+    def test_more_stations_than_runs_rejected(self, tmp_path, capsys):
+        # 21 evenly spaced candidates, two of them at the ends, cut 20 runs
+        scenario = write_scenario(tmp_path, {
+            "sigma2": 1.0,
+            "theta": 1.0,
+            "density": uniform_density(-1.0, 1.0),
+            "mode": {"compare": {"K": [20, 21], "candidates": 21}},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["compare", scenario]) == 3
+        assert "positive mass" in capsys.readouterr().err
 
     def test_off_center_density_rejected(self, tmp_path, capsys, monkeypatch):
         def no_search(*args):

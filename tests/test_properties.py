@@ -145,6 +145,26 @@ def test_update_solves_the_fixed_partition_system(instance, include_inter, theta
 
 
 @SETTINGS
+@given(instances(), st.booleans(), st.floats(0.1, 4.0))
+def test_best_positions_price_any_partition_as_weighted_k_means(instance, voronoi, theta):
+    # fact 1: for any partition, the exact update prices it at A·(kappa·W + (1 − kappa)·V),
+    # W the cells' within-cell sum of squares and V the density's
+    d, params, pos, rng = instance
+    params = RadioParams(params.noise_power, theta)
+    K = len(pos)
+    labels = rng.integers(0, K, d.domain.cell_counts)
+    partition = voronoi_partition(pos, d) if voronoi else CellPartition(d.domain, labels, K)
+    tv = station_traffic(partition, d)
+    total = total_power(update_positions(pos, tv, params, damping=1.0), partition, d, params).total
+    loaded = tv.mass > 0
+    W = np.sum(tv.second[loaded] - np.sum(tv.first[loaded] ** 2, axis=1) / tv.mass[loaded])
+    V = tv.second.sum() - np.sum(tv.first.sum(axis=0) ** 2) / tv.mass.sum()
+    A = params.noise_power * (2.0**theta - 1.0)
+    kappa = A / (A + 2.0 * params.noise_power * d.throughput)
+    assert total == pytest.approx(A * (kappa * W + (1.0 - kappa) * V), rel=1e-12)
+
+
+@SETTINGS
 @given(instances(), st.floats(0.5, 1.0))
 def test_converged_positions_are_the_update_fixed_point(instance, damping):
     d, params, pos, rng = instance
