@@ -91,12 +91,12 @@ def naive_total_power(positions, assignment, d: DensityField, params: RadioParam
 
 
 def _midpoint_sums(d: DensityField):
-    """Cell midpoints, the barycenter b of the midpoint weights, and the
-    prefix sums S0, S1, S2 of w, w·x and w·(x² + h²/12), each starting at 0.
+    """Cell midpoints, their weights w, the barycenter b of the weights,
+    x = midpoint − b, and the prefix sums S0, S1, S2 of w, w·x and
+    w·(x² + h²/12), each starting at 0.
 
     A cell of width h has the weight w = f(midpoint)·h, spread evenly
-    over the cell; x is its midpoint less b, and h²/12 the spread's
-    second moment about the midpoint.
+    over the cell; h²/12 is the spread's second moment about the midpoint.
     """
     if d.domain.ndim != 1:
         raise ValueError("the brute-force search is 1D")
@@ -108,7 +108,7 @@ def _midpoint_sums(d: DensityField):
     x = centers - b
     zero = np.zeros(1)
     S0, S1, S2 = (np.concatenate([zero, np.cumsum(t)]) for t in (w, w * x, w * (x * x + h * h / 12.0)))
-    return centers, b, S0, S1, S2
+    return centers, w, b, x, S0, S1, S2
 
 
 def _gain_and_kappa(d: DensityField, params: RadioParams):
@@ -128,7 +128,7 @@ def midpoint_total_power(positions, d: DensityField, params: RadioParams) -> flo
     rather than a reimplementation; expect grid-resolution-level
     differences, not roundoff-level ones.
     """
-    centers, b, S0, S1, S2 = _midpoint_sums(d)
+    centers, _, b, _, S0, S1, S2 = _midpoint_sums(d)
     gain, kappa = _gain_and_kappa(d, params)
     p = np.sort(np.asarray(positions, dtype=float).reshape(-1)) - b
     q = b + p / kappa
@@ -160,8 +160,11 @@ def brute_force_optimize(
     station sits at kappa·c_i + (1 − kappa)·b, so the total is
     A·(kappa·W + (1 − kappa)·V) under midpoint quadrature, and the search
     minimizes W. Over the runs from cut i to cut j, W = ΔS2 − ΔS1²/ΔS0
-    in the prefix sums about b; a run without mass has no centroid and
-    is priced at inf. The least W of k runs ending at cut j is
+    in the prefix sums about b. A run is a cell when one of its cells has
+    positive weight, by an exact count; a run without one has no centroid
+    and is priced at inf, and a run lighter than the prefix sums' rounding
+    at 0. The stations' positions and traffic are summed directly over
+    the chosen runs. The least W of k runs ending at cut j is
     min_i best_{k−1}[i] + W(i, j): one numpy min over a (C+2)² table per
     level, O(K·C²) for C candidates, the first argmin breaking ties.
 
@@ -179,14 +182,16 @@ def brute_force_optimize(
     if not d.domain.contains(cand).all():
         raise ValueError("candidates must lie inside the domain")
 
-    centers, b, S0, S1, S2 = _midpoint_sums(d)
+    centers, w, b, x, S0, S1, S2 = _midpoint_sums(d)
     gain, kappa = _gain_and_kappa(d, params)
     cuts = np.unique(np.concatenate([[0, centers.size], np.searchsorted(centers, cand)]))
     s0, s1, s2 = (S[cuts][None, :] - S[cuts][:, None] for S in (S0, S1, S2))
-    # the runs from cut i to a later cut j that carry mass: S0 never falls
-    run = s0 > 0
-    W = np.full(s0.shape, np.inf)
-    W[run] = s2[run] - s1[run] ** 2 / s0[run]
+    # the runs from cut i to a later cut j that hold a cell of positive weight
+    count = np.concatenate([[0], np.cumsum(w > 0)])[cuts]
+    run = count[None, :] > count[:, None]
+    heavy = run & (s0 > 0)
+    W = np.where(run, 0.0, np.inf)
+    W[heavy] = s2[heavy] - s1[heavy] ** 2 / s0[heavy]
 
     best = np.full(cuts.size, np.inf)
     best[0] = 0.0
@@ -200,12 +205,12 @@ def brute_force_optimize(
     path = [cuts.size - 1]
     for arg in reversed(back):
         path.append(arg[path[-1]])
-    edges = cuts[path[::-1]]
-    s0, s1 = (S[edges[1:]] - S[edges[:-1]] for S in (S0, S1))
+    starts = cuts[path[::-1]][:-1]
+    mass = np.add.reduceat(w, starts)
     return BruteForceResult(
-        positions=b + kappa * s1 / s0,
+        positions=b + kappa * np.add.reduceat(w * x, starts) / mass,
         power=float(gain * (kappa * best[-1] + (1.0 - kappa) * W[0, -1])),
-        traffic=d.throughput * s0,
+        traffic=d.throughput * mass,
     )
 
 

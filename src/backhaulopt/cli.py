@@ -3,11 +3,17 @@
 Exit codes: 0 success, 2 unreadable or malformed scenario file,
 3 semantic validation failure, 4 solver ran but did not converge
 (outputs are still written and flagged on stderr).
+
+A CSV value has the bytes of `'%d'` (integer columns) or `'%.17g'`
+(all others). Numpy formats them a chunk of rows at a time; a value the
+fast path cannot certify (nan, infinities, the extremes of the range, a
+near-tie) is formatted by `%` on its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -18,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .brute_force import MAX_CANDIDATES, brute_force_optimize, consistency_report
+from .brute_force import MAX_CANDIDATES, _gain_and_kappa, brute_force_optimize, consistency_report
 from .continuum import Measure1D, iterate_fixed_point, optimal_station_density
 from .density import DemandField, DensityField, Domain, FunctionSpec, fold_demand
 from .discrete_placement import OptimizerConfig, optimize
@@ -41,19 +47,161 @@ class ScenarioError(ValueError):
 # rows formatted per write, so a file's text is never held whole
 _CSV_ROWS = 1024
 
+# The float writer gathers each cell's text from 28 source bytes,
+#   0 '-'  1 '0'  2 '.'  3-19 the 17 digits  20 'e'  21 exponent sign
+#   22-24 three exponent digits  25 separator  26 none,
+# by a template of positions chosen by the cell's sign, digit count and
+# class: 0-20 fixed notation at exponents -4..16, 21 e±dd, 22 e±ddd,
+# 23 a zero, 24 a cell that the exact formatter fills.
+_E_LOW, _E_HIGH = -282, 282  # the fast path's decimal exponents, and a carry
+_ZERO, _EXACT = _E_HIGH - _E_LOW + 1, _E_HIGH - _E_LOW + 2  # their table rows
+_WIDTH = 25  # the longest cell: -d.dddddddddddddddde-ddd and its separator
+
+
+def _word(text: str) -> np.uint32:
+    """Up to four ASCII bytes, in memory order, as one word."""
+    return np.frombuffer(text.encode("ascii").ljust(4, b"\0"), dtype=np.uint32)[0]
+
+
+@functools.cache
+def _tables():
+    """The float writer's tables, built on first use from exact ints:
+    10**(16 − E) as hi + lo with hi's Veltkamp halves, the digit and
+    exponent words, the templates, and each exponent's template row."""
+    scale = []
+    for s in range(16 - _E_LOW, 15 - _E_HIGH, -1):
+        num, den = 10 ** max(s, 0), 10 ** max(-s, 0)
+        hi = num / den  # int true division rounds correctly
+        n, d = hi.as_integer_ratio()
+        scale.append((hi, (num * d - n * den) / (den * d)))
+    hi, lo = np.array(scale + [(1.0, 0.0)] * 2).T
+    c = hi * 134217729.0  # 2**27 + 1
+    h1 = c - (c - hi)
+    scale = np.stack([hi, lo, h1, hi - h1])
+    lead = np.array([_word(f"-0.{d}") for d in (*range(10), 1)])  # 10: a carried 10**17
+    quads = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48
+    quads = quads.astype(np.uint8).view(np.uint32).ravel()  # "0000" to "9999"
+    exps = [f"e{e:+04d}" for e in range(_E_LOW, _E_HIGH + 1)]
+    exps = np.array([(_word(t[:4]), _word(t[4:])) for t in exps] + [(0, 0)] * 2, dtype=np.uint32).T
+
+    digits = list(range(3, 20))
+    templates = np.full((2, 25, 17, _WIDTH), 26, dtype=np.uint8)
+    for sign, cls, k in itertools.product(range(2), range(24), range(1, 18)):
+        e = cls - 4
+        if cls == 23:
+            body = [1]
+        elif cls > 20:  # d.ddde±dd(d)
+            body = digits[:1] + [2] * (k > 1) + digits[1:k] + [20, 21] + [22] * (cls == 22) + [23, 24]
+        elif e < 0:  # 0.000ddd
+            body = [1, 2] + [1] * (-e - 1) + digits[:k]
+        else:  # ddd or ddd.ddd
+            body = digits[:max(k, e + 1)]
+            body[e + 1:e + 1] = [2] * (k > e + 1)
+        cell = [0] * sign + body + [25]
+        templates[sign, cls, k - 1, :len(cell)] = cell
+    e = np.arange(_E_LOW, _E_HIGH + 1)
+    cls = np.where((e < -4) | (e > 16), 21 + (np.abs(e) >= 100), e + 4)
+    key = np.append(cls, [23, 24]) * 17 + 16  # the class's row of 17 digits
+    return scale, lead, quads, exps, templates.reshape(-1, _WIDTH), key
+
+
+def _round17(x: np.ndarray, bound: np.ndarray):
+    """Each value of `x` rounded to 17 significant digits n in [1e16, 1e17],
+    and its row of the writer's tables: its decimal exponent less _E_LOW,
+    _ZERO, or _EXACT where the fast path does not certify n.
+
+    The fast path takes finite nonzero |x| from 1e-280 up to `bound`. It
+    scales |x| by 10**(16 − E), E = floor(log10|x|), in double-double
+    arithmetic (Dekker's exact product), good to about 1e-14, and rounds
+    to the nearest integer. A product whose fraction lies within 2**-30
+    of one half, or whose floor falls outside [1e16, 1e17) where log10
+    misses at a power of ten, is not certified.
+    """
+    scale = _tables()[0]
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a <= bound)
+    np.copyto(a, 1.0, where=~fast)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    e -= _E_LOW
+    hi, lo, h1, h2 = scale[:, e]
+    c = a * 134217729.0
+    a1 = c - (c - a)
+    a2 = a - a1
+    p = a * hi
+    # a·hi is p plus the first four terms exactly (Dekker); a·lo adds the rest
+    err = (a1 * h1 - p) + a1 * h2 + a2 * h1 + a2 * h2 + a * lo
+    whole = np.floor(p)
+    frac = (p - whole) + err
+    step = np.floor(frac)
+    frac -= step
+    n = whole.astype(np.int64)
+    n += step.astype(np.int64)
+    fast &= np.abs(frac - 0.5) >= 2.0**-30
+    fast &= (n >= 10**16) & (n < 10**17)
+    n += frac > 0.5
+    e += n == 10**17  # a carry adds a digit: one more in the exponent
+    np.copyto(n, 10**16, where=~fast)
+    e[~fast] = _EXACT
+    e[x == 0] = _ZERO
+    return n.ravel(), e.ravel()
+
+
+def _format_rows(x: np.ndarray, bound: np.ndarray, sep: np.ndarray):
+    """The text of `x` (rows × columns), one bytes object per cell in row
+    order, each `'%.17g' % value` and its column's separator, and the flat
+    indices of the cells that `_round17` left empty for the exact formatter."""
+    _, lead, quads, exps, templates, key = _tables()
+    n, e = _round17(x, bound)
+    # the lead digit, then four groups of four as (high, low) halves
+    groups = np.empty((n.size, 2, 2), dtype=np.int64)
+    np.floor_divide(n, 10**8, out=groups[:, 0, 1])
+    np.subtract(n, groups[:, 0, 1] * 10**8, out=groups[:, 1, 1])
+    first = groups[:, 0, 1] // 10**8
+    groups[:, 0, 1] -= first * 10**8
+    np.floor_divide(groups[..., 1], 10**4, out=groups[..., 0])
+    groups[..., 1] -= groups[..., 0] * 10**4
+
+    src = np.empty((n.size, 7), dtype=np.uint32)
+    np.take(lead, first, out=src[:, 0])
+    src[:, 1:5] = np.take(quads, groups.reshape(-1, 4))
+    np.take(exps[0], e, out=src[:, 5])
+    np.add(np.take(exps[1], e).reshape(x.shape), sep, out=src[:, 6].reshape(x.shape))
+    src = src.view(np.uint8)
+    del n, groups, first  # free what is done with before the 8-byte gather index
+    zeros = np.argmax(src[:, 19:2:-1] != 48, axis=-1)  # trailing zeros of the 17 digits
+    cell = np.take(key, e) - zeros
+    cell += np.signbit(x).ravel() * (25 * 17)  # the negative templates follow the positive
+    index = np.take(templates, cell, axis=0).astype(np.intp)
+    del zeros, cell
+    index += np.arange(0, src.size, 28)[:, None]
+    text = np.take(src, index)
+    del index
+    return text.view(f"S{_WIDTH}").ravel().tolist(), np.flatnonzero(e == _EXACT)
+
 
 def _write_csv(path: Path, header: str, *columns) -> None:
-    """Write equal-length 1-D columns under `header`: integer columns as
-    integers, all others with 17 significant digits, so values parse
-    back exactly. Rows go out `_CSV_ROWS` at a time, one `%` per chunk."""
+    """Write equal-length 1-D columns under `header`: integer columns with
+    the bytes of `'%d'`, all others with those of `'%.17g'`, so values
+    parse back exactly. Rows go out `_CSV_ROWS` at a time, formatted by
+    `_format_rows` all columns at once; a cell it cannot certify is
+    formatted alone by `%`."""
     columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    ints = [c.dtype.kind in "iu" for c in columns]
+    fmts = ["%d" if i else "%.17g" for i in ints]
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    sep = np.array([_word("\0" + end) for end in ends])
+    # integer columns take the float path where float64 holds them exactly
+    bound = np.where(ints, 2.0**53 - 1, 1e280)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    with path.open("wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
         for lo in range(0, len(columns[0]), _CSV_ROWS):
-            rows = list(zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in columns)))
-            fh.write((row * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
+            x = np.column_stack([c[lo:lo + _CSV_ROWS] for c in columns]).astype(float, copy=False)
+            text, exact = _format_rows(x, bound, sep)
+            for cell in exact.tolist():
+                row, col = divmod(cell, len(columns))
+                text[cell] = (fmts[col] % columns[col][lo + row].item() + ends[col]).encode("ascii")
+            fh.write(b"".join(text))
 
 
 def _require(obj, key, context):
@@ -249,10 +397,12 @@ def _run_compare(d, params, outdir, quiet, K, candidates=101) -> int:
         np.concatenate([best.traffic for best in searches]),
     )
     if not quiet:
+        # kappa = A/(A + 2·sigma2·tau), the contraction of problem (b)'s optimum
+        kappa = _gain_and_kappa(d, params)[1]
         for r in rows:
             print(
                 f"K={r.K}: discrete/f spread ratio {r.ratio:.6g}, "
-                f"asymptotic dilation {r.dilation:.6g}"
+                f"kappa {kappa:.6g}, asymptotic dilation {r.dilation:.6g}"
             )
         print(f"wrote consistency.csv, placement.csv to {outdir}")
     return 0

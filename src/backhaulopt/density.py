@@ -41,10 +41,6 @@ CONTAINMENT_TOL = 1e-9
 MAX_SIMPSON_POINTS = 2**21
 
 
-def _std_normal_pdf(z):
-    return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
-
-
 def _std_normal_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
@@ -278,13 +274,23 @@ def spec_values(spec: FunctionSpec, domain: Domain, points: np.ndarray) -> np.nd
         else:
             lo = np.array([b[0] for b in domain.bounds])
             hi = np.array([b[1] for b in domain.bounds])
-        out = np.ones_like(coords[0])
+        out = None
         for k in range(domain.ndim):
-            z = (coords[k] - mu[k]) / sigma[k]
             mass = _std_normal_cdf((hi[k] - mu[k]) / sigma[k]) - _std_normal_cdf(
                 (lo[k] - mu[k]) / sigma[k]
             )
-            out = out * _std_normal_pdf(z) / (sigma[k] * mass)
+            # exp(-0.5·z²)/sqrt(2π) at z = (x − mu)/sigma, one buffer per axis
+            pdf = np.subtract(coords[k], mu[k])
+            pdf /= sigma[k]
+            np.square(pdf, out=pdf)
+            pdf *= -0.5
+            np.exp(pdf, out=pdf)
+            pdf /= math.sqrt(2.0 * math.pi)
+            if out is None:
+                out = pdf  # the product starts at 1, and 1·pdf is pdf
+            else:
+                out *= pdf
+            out /= sigma[k] * mass
     elif kind == "triangular":
         if domain.ndim != 1:
             raise ValueError("triangular densities are 1D only")

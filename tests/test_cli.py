@@ -484,6 +484,21 @@ class TestCompareMode:
         assert main(["run", self.scenario(tmp_path, out), "--quiet"]) == 0
         assert (out / "consistency.csv").exists()
 
+    def test_prints_kappa_next_to_the_dilation(self, tmp_path, capsys):
+        # theta = sigma2 = 1: A = 1, so kappa = 1/(1 + 2) and lambda(1) = 5
+        out = tmp_path / "out"
+        assert main(["compare", self.scenario(tmp_path, out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            f"K={int(row[0])}: discrete/f spread ratio {row[4]:.6g}, kappa 0.333333, asymptotic dilation 5"
+            for row in load_csv(out / "consistency.csv")
+        ]
+        assert read_header(out / "consistency.csv") == (
+            "K,theta,discrete_spread,continuum_spread,ratio,f_spread,lambda"
+        )
+        assert main(["compare", self.scenario(tmp_path, out), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_station_count_list_limited(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {
             "sigma2": 1.0,
@@ -638,6 +653,50 @@ def one_string_csv(header, *columns):
     return "\n".join(lines) + "\n"
 
 
+def ties(sign):
+    """m·2**-k whose 18 significant digits end in 5: halfway between two
+    17-digit decimals, so the fast path must not round them itself."""
+    def odd_multiples(k):  # odd m with m·5**k of 18 digits, exact in a double
+        low, high = -(-(10**17) // 5**k), min((10**18 - 1) // 5**k, 2**53 - 1)
+        return st.integers(low // 2, (high - 1) // 2).map(lambda j: sign * math.ldexp(2 * j + 1, -k))
+
+    return st.integers(2, 25).flatmap(odd_multiples)
+
+
+FLOATS = st.one_of(
+    st.floats(width=64),  # nan, infinities and subnormals included
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    ties(1.0),
+    ties(-1.0),
+)
+INTS = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def csv_columns(draw):
+    """One to four float64 or int64 columns of up to 40 rows."""
+    rows = draw(st.integers(0, 40))
+    kinds = draw(st.lists(st.sampled_from([(FLOATS, np.float64), (INTS, np.int64)]), min_size=1, max_size=4))
+    return [np.array(draw(st.lists(values, min_size=rows, max_size=rows)), dtype=dtype) for values, dtype in kinds]
+
+
+def around(value):
+    """`value` and its neighbours one ulp below and above."""
+    return [np.nextafter(value, -math.inf), value, np.nextafter(value, math.inf)]
+
+
+# the fast path's edges: its range, powers of ten (where log10 may miss),
+# the largest double below 1e17, exact ties (2**-25 keeps its even last
+# digit, 3·2**-25 rounds up to an even one), and what it never formats
+EDGES = np.array([
+    0.0, -0.0, 5e-324, -5e-324,
+    *around(1e-280), *around(1e280),
+    *(v for k in range(-5, 18) for v in around(float(f"1e{k}"))),
+    99999999999999984.0, 2.0**-25, -(2.0**-25), 3 * 2.0**-25,
+    math.inf, -math.inf, math.nan,
+])
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize("rows", [0, 1, cli._CSV_ROWS, cli._CSV_ROWS + 1, 3 * cli._CSV_ROWS + 7])
     def test_same_bytes_as_one_string(self, tmp_path, rows):
@@ -660,6 +719,19 @@ class TestWriteCsv:
         assert text == one_string_csv("i,v", np.arange(values.size), values)
         assert [float(line.split(",")[1]) for line in text.splitlines()[1:]] == values.tolist()
         assert text.splitlines()[1] == "0,-0"
+
+    def test_edge_list(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        cli._write_csv(path, "v,w", EDGES, -EDGES)
+        assert path.read_bytes() == one_string_csv("v,w", EDGES, -EDGES).encode("utf-8")
+
+    @settings(max_examples=150)
+    @given(columns=csv_columns())
+    def test_drawn_columns(self, tmp_path_factory, columns):
+        path = tmp_path_factory.mktemp("drawn") / "drawn.csv"
+        header = ",".join(f"c{i}" for i in range(len(columns)))
+        cli._write_csv(path, header, *columns)
+        assert path.read_bytes() == one_string_csv(header, *columns).encode("utf-8")
 
     def test_memory_does_not_grow_with_the_file(self, tmp_path):
         # the whole text, its join and its UTF-8 copy peaked at 34 MiB here
