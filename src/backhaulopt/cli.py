@@ -16,8 +16,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
-import operator
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -26,7 +24,7 @@ import numpy as np
 
 from .brute_force import MAX_CANDIDATES, _gain_and_kappa, brute_force_optimize, consistency_report
 from .continuum import Measure1D, iterate_fixed_point, optimal_station_density
-from .density import DemandField, DensityField, Domain, FunctionSpec, fold_demand
+from .density import DemandField, DensityField, Domain, FunctionSpec, _check_count, _positive, fold_demand
 from .discrete_placement import OptimizerConfig, optimize
 from .power_model import RadioParams
 
@@ -38,10 +36,6 @@ SCENARIO_KEYS = ("sigma2", "theta", "density", "demand", "mode", "output_dir")
 # the reproduce-figures scenarios: throughputs from the reference
 # simulations, including 24 where the dilation is ~2.4e-7
 FIGURE_THETAS = (1.0, 2.0, 24.0)
-
-
-class ScenarioError(ValueError):
-    """Scenario parsed but failed semantic validation."""
 
 
 # rows formatted per write, so a file's text is never held whole
@@ -206,40 +200,25 @@ def _write_csv(path: Path, header: str, *columns) -> None:
 
 def _require(obj, key, context):
     if key not in obj:
-        raise ScenarioError(f"missing {key!r} in {context}")
+        raise ValueError(f"missing {key!r} in {context}")
     return obj[key]
 
 
 def _object(obj, context, keys):
     """`obj` as a scenario object whose keys all lie in `keys`."""
     if not isinstance(obj, dict):
-        raise ScenarioError(f"{context} must be an object")
+        raise ValueError(f"{context} must be an object")
     unknown = sorted(set(obj) - set(keys))
     if unknown:
-        raise ScenarioError(f"unknown key {unknown[0]!r} in {context}; it takes {', '.join(keys)}")
+        raise ValueError(f"unknown key {unknown[0]!r} in {context}; it takes {', '.join(keys)}")
     return obj
-
-
-def _number(key, value, kind=float):
-    """A finite scenario number converted by `kind`. Counts use
-    `operator.index`, which rejects floats such as 2.5 or 1e308 instead
-    of truncating them. No kind takes a JSON string or boolean."""
-    if isinstance(value, (str, bool)):
-        raise ScenarioError(f"{key!r} must be a number, not {value!r}")
-    try:
-        value = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{key!r} must be a number: {exc}") from exc
-    if not math.isfinite(value):
-        raise ScenarioError(f"{key!r} must be finite")
-    return value
 
 
 def _parse_spec(obj, context, keys=("kind", "params")) -> FunctionSpec:
     _object(obj, context, keys)
     params = obj.get("params", {})
     if not isinstance(params, dict):
-        raise ScenarioError(f"{context} params must be an object")
+        raise ValueError(f"{context} params must be an object")
     return FunctionSpec(str(_require(obj, "kind", context)), dict(params))
 
 
@@ -254,7 +233,7 @@ def _parse_domain(obj, context, grid=None) -> Domain:
         _object(obj, context, ("bounds", "resolution"))
         bounds = obj["bounds"]
         if not isinstance(bounds, list) or len(bounds) != 2:
-            raise ScenarioError(
+            raise ValueError(
                 f"{context} bounds must hold two [lower, upper] pairs; give an interval as min and max"
             )
         res = obj.get("resolution", 201) if grid is None else grid
@@ -269,13 +248,13 @@ def _build_field(scenario, grid) -> DensityField:
     has_density = "density" in scenario
     has_demand = "demand" in scenario
     if has_density == has_demand:
-        raise ScenarioError("scenario needs exactly one of 'density' or 'demand'")
+        raise ValueError("scenario needs exactly one of 'density' or 'demand'")
     if has_density:
-        theta = _number("theta", _require(scenario, "theta", "scenario"))
+        theta = _positive(_require(scenario, "theta", "scenario"), "'theta'")
         spec, domain = _parse_density(scenario["density"], "density", grid)
         return DensityField.from_spec(spec, theta, domain)
     if "theta" in scenario:
-        raise ScenarioError("'theta' is folded from 'demand'; specify only one")
+        raise ValueError("'theta' is folded from 'demand'; specify only one")
     block = _object(scenario["demand"], "demand", ("terminal_density", "throughput_demand"))
     spec, domain = _parse_density(_require(block, "terminal_density", "demand"), "terminal_density", grid)
     demand = _parse_spec(_require(block, "throughput_demand", "demand"), "throughput_demand")
@@ -284,17 +263,17 @@ def _build_field(scenario, grid) -> DensityField:
 
 def _parse_scenario(scenario, grid, seed):
     _object(scenario, "scenario", SCENARIO_KEYS)
-    sigma2 = _number("sigma2", _require(scenario, "sigma2", "scenario"))
+    sigma2 = _positive(_require(scenario, "sigma2", "scenario"), "'sigma2'")
 
     mode = _object(_require(scenario, "mode", "scenario"), "mode", MODES)
     if len(mode) != 1:
-        raise ScenarioError(f"'mode' must contain exactly one of {MODES}")
+        raise ValueError(f"'mode' must contain exactly one of {MODES}")
 
     d = _build_field(scenario, grid)
     params = RadioParams(noise_power=sigma2, throughput=d.throughput)
     mode_name, mode_cfg = next(iter(mode.items()))
     if not isinstance(mode_cfg, dict):
-        raise ScenarioError(f"mode.{mode_name} must be an object")
+        raise ValueError(f"mode.{mode_name} must be an object")
     if seed is not None and mode_name == "discrete":
         mode_cfg = dict(mode_cfg, seed=seed)
     return d, params, mode_name, mode_cfg
@@ -302,7 +281,7 @@ def _parse_scenario(scenario, grid, seed):
 
 def _run_discrete(d, params, outdir, quiet, K, **options) -> int:
     """`options` are `OptimizerConfig`'s fields; it rejects any other key."""
-    K = _number("K", K, operator.index)
+    _check_count(K, "'K'", 1)
     cfg = OptimizerConfig(**options)
     solution = optimize(d, K, params, cfg)
 
@@ -336,8 +315,8 @@ def _station_measure_csv(path: Path, nu: Measure1D) -> None:
 
 
 def _run_continuum(d, params, outdir, quiet, tolerance=1e-8, max_steps=50, nu0=None) -> int:
-    tolerance = _number("tolerance", tolerance)
-    max_steps = _number("max_steps", max_steps, operator.index)
+    tolerance = _positive(tolerance, "'tolerance'")
+    _check_count(max_steps, "'max_steps'", 1)
     if nu0 is not None:
         spec, domain = _parse_density(nu0, "nu0")
         nu0 = Measure1D.from_density(DensityField.from_spec(spec, 1.0, domain), params.throughput)
@@ -368,20 +347,19 @@ def _run_closed_form(d, params, outdir, quiet) -> int:
 
 def _run_compare(d, params, outdir, quiet, K, candidates=101) -> int:
     if not isinstance(K, list) or not K:
-        raise ScenarioError("mode.compare K must be a nonempty list")
+        raise ValueError("mode.compare K must be a nonempty list")
     if len(K) > MAX_CANDIDATES:
-        raise ScenarioError(f"at most {MAX_CANDIDATES} station counts per report")
-    Ks = [_number("K", k, operator.index) for k in K]
+        raise ValueError(f"at most {MAX_CANDIDATES} station counts per report")
+    for k in K:
+        _check_count(k, "'K'", 1)
     if not isinstance(candidates, list):  # a count; brute_force_optimize checks a list
-        count = _number("candidates", candidates, operator.index)
-        if count > MAX_CANDIDATES:  # before np.linspace allocates them
-            raise ScenarioError(f"candidate grid limited to {MAX_CANDIDATES} points")
+        _check_count(candidates, "'candidates'", 0, MAX_CANDIDATES)  # before np.linspace allocates
         lo, hi = d.domain.bounds[0]
-        candidates = np.linspace(lo, hi, count)
+        candidates = np.linspace(lo, hi, candidates)
 
     # the closed form rejects an off-centre density; do so before the searches
     optimal_station_density(d, params.throughput)
-    searches = [brute_force_optimize(d, K, params, candidates) for K in Ks]
+    searches = [brute_force_optimize(d, k, params, candidates) for k in K]
     rows = consistency_report(d, searches)
     _write_csv(
         outdir / "consistency.csv",
@@ -391,8 +369,8 @@ def _run_compare(d, params, outdir, quiet, K, candidates=101) -> int:
     _write_csv(
         outdir / "placement.csv",
         "K,index,x,m_i",
-        np.repeat(Ks, Ks),
-        np.concatenate([np.arange(K) for K in Ks]),
+        np.repeat(K, K),
+        np.concatenate([np.arange(k) for k in K]),
         np.concatenate([best.positions for best in searches]),
         np.concatenate([best.traffic for best in searches]),
     )
@@ -485,7 +463,7 @@ def main(argv=None) -> int:
             return _reproduce_figures(Path(args.out), args.grid, args.quiet)
         d, params, mode_name, mode_cfg = _parse_scenario(scenario, args.grid, args.seed)
         if args.command == "compare" and mode_name != "compare":
-            raise ScenarioError("the compare command needs a scenario with a compare mode")
+            raise ValueError("the compare command needs a scenario with a compare mode")
         outdir = Path(scenario.get("output_dir", "."))
         return _MODE_RUNNERS[mode_name](d, params, outdir, args.quiet, **mode_cfg)
     except (ValueError, TypeError, LookupError, ArithmeticError, OSError) as exc:

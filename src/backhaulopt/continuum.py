@@ -20,7 +20,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .density import CONTAINMENT_TOL, DensityField, Domain, _check_count, _midpoint_levels, _non_numeric, _refine
+from .density import (
+    CONTAINMENT_TOL, DensityField, Domain, _check_count, _midpoint_levels, _non_numeric, _positive, _refine
+)
 from .power_model import RadioParams
 
 __all__ = [
@@ -57,8 +59,7 @@ def dilation_factor(throughput: float) -> float:
     drives the factor to 1: backhaul costs stop mattering and stations
     shadow the terminals.
     """
-    if _non_numeric(throughput) or not 0 < throughput < math.inf:
-        raise ValueError("throughput must be a positive finite number")
+    throughput = _positive(throughput, "throughput")
     if throughput >= sys.float_info.max_exp:  # 2**throughput overflows; the factor is 1.0 before
         return 1.0
     return 1.0 + 4.0 / (math.pow(2.0, throughput) - 1.0)
@@ -152,10 +153,8 @@ class Measure1D:
         """`mass` times the 1D density `d`, which the measure keeps without a copy."""
         if d.domain.ndim != 1 or d.domain.resolution[0] < 3:
             raise ValueError("measures are 1D, on 3 or more nodes")
-        if _non_numeric(mass) or not 0 < mass < math.inf:
-            raise ValueError("measure mass must be a positive finite number")
         nu = Measure1D.__new__(Measure1D)
-        nu.density, nu.total_mass = d, float(mass)
+        nu.density, nu.total_mass = d, _positive(mass, "measure mass")
         return nu
 
     @staticmethod
@@ -225,8 +224,7 @@ def pushforward(f: DensityField, T: TransportMap, mass: float) -> Measure1D:
     """
     if f.domain.ndim != 1:
         raise ValueError("pushforward is 1D")
-    if _non_numeric(mass) or not 0 < mass < math.inf:
-        raise ValueError("mass must be a positive finite number")
+    mass = _positive(mass, "mass")
     a, b = f.domain.bounds[0]
     ya, yb = float(T(a)), float(T(b))
     ygrid = np.linspace(ya, yb, f.domain.resolution[0])

@@ -170,7 +170,7 @@ class FunctionSpec:
 
     Density kinds (normalized over the domain): ``uniform``; ``normal``
     with ``mu``/``sigma`` (truncated to the domain and renormalized);
-    ``truncated_normal`` with ``mu``, ``sigma``, ``a``, ``b``;
+    ``truncated_normal`` with ``mu``, ``sigma``, ``a``, ``b`` (0 off [a, b]);
     ``triangular`` with ``a``, ``c``, ``b`` (1D only); ``grid`` with raw
     ``values`` on the domain nodes. Demand functions may additionally use
     ``constant`` (``value``) and ``affine`` (``slope``, ``intercept``).
@@ -222,6 +222,18 @@ def _check_count(value, name: str, least: int, most: float = math.inf) -> None:
     if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and least <= value <= most):
         span = f"in [{least}, {most}]" if most < math.inf else f"at least {least}"
         raise ValueError(f"{name} must be a whole number, {span}")
+
+
+def _positive(value, name: str) -> float:
+    """`value` as a float if it is a finite number above 0, else ValueError (also for a string,
+    boolean, None, list or int beyond float range); the message omits `value`, whose repr may raise."""
+    try:
+        number = math.nan if _non_numeric(value) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not 0 < number < math.inf:
+        raise ValueError(f"{name} must be a positive finite number")
+    return number
 
 
 def _per_axis(value, ndim: int, name: str) -> np.ndarray:
@@ -286,6 +298,9 @@ def spec_values(spec: FunctionSpec, domain: Domain, points: np.ndarray) -> np.nd
             pdf *= -0.5
             np.exp(pdf, out=pdf)
             pdf /= math.sqrt(2.0 * math.pi)
+            if kind == "truncated_normal":  # zero beyond [a, b], as triangular is
+                tol = CONTAINMENT_TOL * (hi[k] - lo[k])
+                pdf[(coords[k] < lo[k] - tol) | (coords[k] > hi[k] + tol)] = 0.0
             if out is None:
                 out = pdf  # the product starts at 1, and 1·pdf is pdf
             else:
@@ -424,16 +439,13 @@ class DensityField:
         mass = float(_simpson(samples, domain.spacings).sum())
         if not 0 < mass < math.inf:
             raise ValueError("density mass must be positive and finite")
-        if _non_numeric(throughput) or not 0 < throughput < math.inf:
-            raise ValueError("throughput must be a positive finite number")
+        self.throughput = _positive(throughput, "throughput")
         self.domain = domain
-        self.throughput = float(throughput)
         self.analytic = analytic
         self._scale = 1.0 / mass
         self._stencil = self._scale * samples
         np.maximum(self._stencil, 0.0, out=self._stencil)  # rounding-level negatives
         self._stencil.flags.writeable = False  # `values` is a view of it
-        self._cell_mass = _simpson(self._stencil, domain.spacings)
         self._moment_cache: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------ build
@@ -495,6 +507,11 @@ class DensityField:
         return _interp_grid(axes, self._stencil, coords).reshape(shape)
 
     # ------------------------------------------------------------- quadrature
+
+    @functools.cached_property
+    def _cell_mass(self) -> np.ndarray:
+        """Per-cell Simpson masses, computed on first read: a station measure never reads them."""
+        return _simpson(self._stencil, self.domain.spacings)
 
     def cell_masses(self) -> np.ndarray:
         """Simpson mass of every grid cell; sums to 1."""

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .density import DensityField, _check_count, _grid_points, _midpoint_levels, _non_numeric
+from .density import DensityField, _check_count, _grid_points, _midpoint_levels, _non_numeric, _positive
 from .power_model import (
     CellPartition,
     PowerReport,
@@ -74,11 +74,10 @@ class OptimizerConfig:
     def __post_init__(self):
         _check_count(self.max_iterations, "max_iterations", 1)
         _check_count(self.seed, "seed", 0)
-        for name in ("position_tolerance", "damping", "positions"):
+        self.position_tolerance = _positive(self.position_tolerance, "position_tolerance")
+        for name in ("damping", "positions"):
             if _non_numeric(getattr(self, name)):
                 raise ValueError(f"{name} must be numeric, not a string or boolean")
-        if not 0 < self.position_tolerance < math.inf:
-            raise ValueError("position tolerance must be positive and finite")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if not isinstance(self.include_inter, bool):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityField, Domain, _non_numeric
+from .density import DensityField, Domain, _positive
 
 __all__ = [
     "RadioParams",
@@ -42,9 +42,7 @@ class RadioParams:
 
     def __post_init__(self):
         for name in ("noise_power", "throughput"):
-            value = getattr(self, name)
-            if _non_numeric(value) or not 0 < value < math.inf:
-                raise ValueError(f"{name.replace('_', ' ')} must be a positive finite number")
+            object.__setattr__(self, name, _positive(getattr(self, name), name.replace("_", " ")))
         if self.throughput >= sys.float_info.max_exp:
             raise ValueError(
                 f"throughput {self.throughput!r} must be below {sys.float_info.max_exp}, "

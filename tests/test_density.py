@@ -1,19 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from backhaulopt.continuum import AffineMap, Measure1D, dilation_factor, pushforward
 from backhaulopt.density import (
     MAX_SIMPSON_POINTS,
     DemandField,
     DensityField,
     Domain,
     FunctionSpec,
+    _simpson,
     _simpson_points,
     default_domain,
     expected_terminals,
     fold_demand,
     spec_values,
 )
+from backhaulopt.discrete_placement import OptimizerConfig
+from backhaulopt.power_model import RadioParams
 
 # reference constants: 1/sqrt(2*pi) and Phi(1) - Phi(-1) via erf
 NORMAL_PDF_AT_0 = 0.3989422804014327
@@ -132,6 +138,25 @@ class TestEval:
         d = DensityField.from_values(dom, 2.0 * x, 1.0)
         # normalized slope-2 ramp stays a ramp; midpoint of a segment matches
         assert d.eval(0.125) == pytest.approx(0.5 * (d.values[0] + d.values[1]), rel=1e-12)
+
+    def test_truncated_normal_is_zero_beyond_its_bounds(self):
+        # on a domain wider than [a, b] the tails are empty, not those of `normal`
+        # (which puts 0.142 of its mass in [1, 2] here)
+        spec = FunctionSpec("truncated_normal", {"mu": 0.0, "sigma": 1.0, "a": -1.0, "b": 1.0})
+        d = DensityField.from_spec(spec, 1.0, Domain.interval(-2.0, 2.0, 401))
+        x = d.domain.axis(0)
+        assert np.all(d.values[np.abs(x) > 1.0 + 1e-9] == 0.0)
+        assert np.all(d.eval(np.array([-2.0, -1.5, 1.01, 2.0])) == 0.0)
+        # what is left in [1, 2] is the edge cell's Simpson weight on f(1)
+        h = d.domain.spacings[0]
+        assert d.integrate((1.0, 2.0)) == pytest.approx(h / 6.0 * float(d.eval(1.0)), rel=1e-9)
+        assert d.integrate((1.0, 2.0)) == pytest.approx(5.9e-4, rel=0.01)
+        # per axis in 2D
+        spec = FunctionSpec("truncated_normal", {"mu": 0.0, "sigma": 1.0, "a": [-1.0, 0.0], "b": [1.0, 0.5]})
+        d2 = DensityField.from_spec(spec, 1.0, Domain.rectangle((-2.0, 2.0), (-1.0, 1.0), (41, 41)))
+        X, Y = np.meshgrid(d2.domain.axis(0), d2.domain.axis(1), indexing="ij")
+        inside = (np.abs(X) <= 1.0 + 1e-9) & (Y >= -1e-9) & (Y <= 0.5 + 1e-9)
+        assert np.all(d2.values[~inside] == 0.0) and np.all(d2.values[inside] > 0.0)
 
     def test_2d_normal_peak(self):
         d = DensityField.from_spec(
@@ -256,6 +281,14 @@ class TestField:
         assert np.shares_memory(d.values, d._stencil)
         with pytest.raises(ValueError, match="read-only"):
             d.values[0] = 1.0
+
+    def test_cell_masses_are_computed_on_first_read(self):
+        # a station measure of the fixed-point scheme never reads them
+        d = normal_field()
+        assert "_cell_mass" not in vars(d)
+        masses = d.cell_masses()
+        assert d.cell_masses() is masses
+        np.testing.assert_array_equal(masses, _simpson(d._stencil, d.domain.spacings))
 
     def test_wrongly_shaped_samples_rejected(self):
         # node values in place of Simpson-point samples would integrate
@@ -446,3 +479,30 @@ class TestFoldDemand:
         assert d.integrate(dom.bounds) == pytest.approx(d.integrate(), abs=1e-14)
         assert expected_terminals(d, dom.bounds, 1000) == pytest.approx(1000.0, rel=1e-14)
         np.testing.assert_array_equal(d.eval(_simpson_points(dom.axes)), d._stencil)
+
+
+# every owner of a positive finite number, and what it keeps of one
+POSITIVE_OWNERS = {
+    "RadioParams.noise_power": lambda v: RadioParams(v, 1.0).noise_power,
+    "RadioParams.throughput": lambda v: RadioParams(1.0, v).throughput,
+    "DensityField.throughput": lambda v: DensityField.from_spec(
+        FunctionSpec("uniform", {}), v, Domain.interval(0.0, 1.0, 11)
+    ).throughput,
+    "dilation_factor": dilation_factor,
+    "Measure1D.from_density": lambda v: Measure1D.from_density(uniform_field(11), v).total_mass,
+    "pushforward": lambda v: pushforward(uniform_field(11), AffineMap(1.0), v).total_mass,
+    "OptimizerConfig.position_tolerance": lambda v: OptimizerConfig(position_tolerance=v).position_tolerance,
+}
+
+
+@pytest.mark.parametrize("owner", POSITIVE_OWNERS.values(), ids=POSITIVE_OWNERS)
+def test_one_rule_for_a_positive_number(owner):
+    # an int beyond float range, None and a list are rejected like NaN, not
+    # accepted, overflowed or raised as TypeError
+    for bad in (10**400, None, [1.0], "1", True, math.nan, math.inf, 0, -1):
+        with pytest.raises(ValueError, match="positive finite number"):
+            owner(bad)
+    # what is kept is a float, as the float of the input would give
+    for good in (2, np.float32(0.5)):
+        kept = owner(good)
+        assert type(kept) is float and kept == owner(float(good))

@@ -164,6 +164,44 @@ def test_best_positions_price_any_partition_as_weighted_k_means(instance, vorono
     assert total == pytest.approx(A * (kappa * W + (1.0 - kappa) * V), rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(2, 41), st.integers(2, 41)),
+    st.integers(1, 24),
+    st.sampled_from(["random", "blocked", "optimize"]),
+    st.floats(0.1, 4.0),
+)
+def test_2d_totals_respect_the_hexagon_bound(seed, resolution, K, partition_kind, theta):
+    # Fejes Tóth: any K cells of a uniform density on a w x h rectangle (area a)
+    # have W >= 2·G·a/K, G = 5/(36·sqrt(3)) the regular hexagon's; with fact 1,
+    # total >= A·(kappa·2·G·a/K + (1 − kappa)·V), V = (w² + h²)/12, and the
+    # access power alone >= A·W
+    rng = np.random.default_rng(seed)
+    lo, (w, h) = rng.uniform(-2.0, 2.0, 2), rng.uniform(0.2, 3.0, 2)
+    domain = Domain(((lo[0], lo[0] + w), (lo[1], lo[1] + h)), resolution)
+    d = DensityField.from_spec(FunctionSpec("uniform", {}), float(rng.uniform(0.5, 3.0)), domain)
+    params = RadioParams(float(rng.uniform(0.5, 2.0)), theta)
+    cells = math.prod(domain.cell_counts)
+    try:
+        if partition_kind == "optimize":
+            sol = optimize(d, K, params, OptimizerConfig(init="jitter", seed=int(rng.integers(2**31))))
+            report = total_power(sol.positions, sol.partition, d, params)
+        else:
+            labels = (
+                rng.integers(0, K, cells) if partition_kind == "random" else np.arange(cells) * K // cells
+            )
+            pos = lo + rng.uniform(0.0, 1.0, (K, 2)) * (w, h)
+            report = total_power(pos, CellPartition(domain, labels, K), d, params)
+    except SingularGainError:
+        assume(False)
+    A = params.noise_power * params.shannon_factor
+    kappa = A / (A + 2.0 * params.noise_power * d.throughput)
+    W = 2.0 * 5.0 / (36.0 * math.sqrt(3.0)) * w * h / K
+    assert report.total >= A * (kappa * W + (1.0 - kappa) * (w * w + h * h) / 12.0) * (1.0 - 1e-12)
+    assert report.intra_total >= A * W * (1.0 - 1e-12)
+
+
 @SETTINGS
 @given(instances(), st.floats(0.5, 1.0))
 def test_converged_positions_are_the_update_fixed_point(instance, damping):
