@@ -34,11 +34,11 @@ for positions in (np.array([0.5]), np.array([0.25, 0.75]), np.array([0.4, 0.6]))
 # worse quantization of {0.4, 0.6} saves
 pos = np.array([0.25, 0.75])
 report = total_power(pos, voronoi_partition(pos, d), d, params)
-print("\nper-pair backhaul at [0.25, 0.75]:")
-for i in range(2):
-    for j in range(2):
-        if i != j:
-            print(f"  {i} -> {j}: {report.inter_per_pair[i, j]:.6f}")
+t, m = report.traffic.per_station, report.traffic.total
+print("\nper-pair backhaul at [0.25, 0.75], sigma^2 d^2 m_i m_j / m:")
+for i, j in ((0, 1), (1, 0)):
+    print(f"  {i} -> {j}: {params.noise_power * (pos[i] - pos[j]) ** 2 * t[i] * t[j] / m:.6f}")
+print(f"  sum    {report.inter_total:.6f}")
 
 print("\nthroughput sweep, same two stations:")
 for theta in (0.5, 1.0, 2.0, 4.0):

@@ -37,6 +37,10 @@ SCENARIO_KEYS = ("sigma2", "theta", "density", "demand", "mode", "output_dir")
 # simulations, including 24 where the dilation is ~2.4e-7
 FIGURE_THETAS = (1.0, 2.0, 24.0)
 
+# Largest K of a discrete run: pairs.csv has K(K - 1) rows, and its
+# ordered pair indices come from a K x K mask.
+MAX_STATION_COUNT = 1024
+
 
 # rows formatted per write, so a file's text is never held whole
 _CSV_ROWS = 1024
@@ -281,7 +285,7 @@ def _parse_scenario(scenario, grid, seed):
 
 def _run_discrete(d, params, outdir, quiet, K, **options) -> int:
     """`options` are `OptimizerConfig`'s fields; it rejects any other key."""
-    _check_count(K, "'K'", 1)
+    _check_count(K, "'K'", 1, MAX_STATION_COUNT)
     cfg = OptimizerConfig(**options)
     solution = optimize(d, K, params, cfg)
 
@@ -294,8 +298,11 @@ def _run_discrete(d, params, outdir, quiet, K, **options) -> int:
         np.arange(K), *pos.T, report.traffic.per_station, report.intra_per_cell,
     )
     i, j = np.nonzero(~np.eye(K, dtype=bool))  # ordered pairs, row-major
-    d_ij = np.sqrt(np.sum((pos[i] - pos[j]) ** 2, axis=1))
-    _write_csv(outdir / "pairs.csv", "i,j,d_ij,P_ij", i, j, d_ij, report.inter_per_pair[i, j])
+    d2 = np.sum((pos[i] - pos[j]) ** 2, axis=1)
+    t = report.traffic.per_station
+    # each ordered pair's backhaul power, sigma2 * m_i * m_j * d_ij^2 / m
+    P_ij = params.noise_power / report.traffic.total * (t[i] * t[j]) * d2
+    _write_csv(outdir / "pairs.csv", "i,j,d_ij,P_ij", i, j, np.sqrt(d2), P_ij)
     trace = solution.trace
     # the cost the optimizer descends: the access power alone without the backhaul term
     header = "iter,total" if cfg.include_inter else "iter,intra_total"

@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .density import (
-    CONTAINMENT_TOL, DensityField, Domain, _check_count, _midpoint_levels, _non_numeric, _positive, _refine
+    CONTAINMENT_TOL, DensityField, Domain, _check_count, _midpoint_levels, _positive, _refine
 )
 from .power_model import RadioParams
 
@@ -294,8 +294,8 @@ def iterate_fixed_point(
     representable iterate.
     """
     _check_count(max_steps, "max_steps", 1)
-    if _non_numeric(tolerance) or not tolerance > 0:
-        raise ValueError("tolerance must be a positive number")
+    if tolerance != math.inf:  # an infinite tolerance stops after one step
+        tolerance = _positive(tolerance, "tolerance")
     nu = nu0
     last_change = math.inf
     for step in range(1, max_steps + 1):

@@ -446,7 +446,6 @@ class DensityField:
         self._stencil = self._scale * samples
         np.maximum(self._stencil, 0.0, out=self._stencil)  # rounding-level negatives
         self._stencil.flags.writeable = False  # `values` is a view of it
-        self._moment_cache: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------ build
 
@@ -523,30 +522,34 @@ class DensityField:
         weights[k] = _refine(self.domain.axis(k), 0) ** power
         return _simpson(self._stencil, self.domain.spacings, weights)
 
+    @functools.cached_property
+    def _first_moments(self) -> tuple[np.ndarray, ...]:
+        return tuple(self._axis_moment(k, 1) for k in range(self.domain.ndim))
+
     def cell_first_moments(self) -> tuple[np.ndarray, ...]:
         """Per-cell integrals of each coordinate against the density."""
-        if "first" not in self._moment_cache:
-            self._moment_cache["first"] = tuple(
-                self._axis_moment(k, 1) for k in range(self.domain.ndim)
-            )
-        return self._moment_cache["first"]
+        return self._first_moments
+
+    @functools.cached_property
+    def _second_moments(self) -> np.ndarray:
+        terms = [self._axis_moment(k, 2) for k in range(self.domain.ndim)]
+        return sum(terms[1:], terms[0])
 
     def cell_second_moments(self) -> np.ndarray:
         """Per-cell integrals of the squared distance to the origin."""
-        if "second" not in self._moment_cache:
-            terms = [self._axis_moment(k, 2) for k in range(self.domain.ndim)]
-            self._moment_cache["second"] = sum(terms[1:], terms[0])
-        return self._moment_cache["second"]
+        return self._second_moments
+
+    @functools.cached_property
+    def _marginals(self) -> list[np.ndarray]:
+        """Per axis, the cumulative cell-mass marginal at the nodes, normalized to end at 1."""
+        ndim = self.domain.ndim
+        sums = [np.cumsum(self._cell_mass.sum(axis=tuple(set(range(ndim)) - {j}))) for j in range(ndim)]
+        return [np.concatenate([[0.0], c]) / c[-1] for c in sums]
 
     def _axis_quantiles(self, k: int, levels) -> np.ndarray:
         """Where the cumulative cell-mass marginal along axis k, linear in each
-        cell, reaches each level; each axis's normalized marginal is kept."""
-        if "marginals" not in self._moment_cache:
-            ndim = self.domain.ndim
-            sums = [np.cumsum(self._cell_mass.sum(axis=tuple(set(range(ndim)) - {j}))) for j in range(ndim)]
-            self._moment_cache["marginals"] = [np.concatenate([[0.0], c]) / c[-1] for c in sums]
-        cdf = self._moment_cache["marginals"][k]
-        return np.interp(np.asarray(levels, dtype=float), cdf, self.domain.axis(k))
+        cell, reaches each level."""
+        return np.interp(np.asarray(levels, dtype=float), self._marginals[k], self.domain.axis(k))
 
     def centroid(self) -> np.ndarray:
         """Barycenter of the density."""

@@ -44,11 +44,6 @@ __all__ = [
     "optimize",
 ]
 
-#: Largest station count `optimize` accepts; it bounds the K x K pair
-#: arrays of pricing (K x K x 2 floats are 16 MiB). Assignment's bound
-#: arrays hold at most half an entry per cell whatever K is.
-MAX_STATION_COUNT = 1024
-
 
 @dataclass
 class OptimizerConfig:
@@ -223,7 +218,7 @@ def initial_positions(
     d: DensityField, K: int, cfg: OptimizerConfig
 ) -> np.ndarray:
     """Starting layout of K stations, K a whole number, per the configured strategy."""
-    _check_count(K, "station count", 1, MAX_STATION_COUNT)
+    _check_count(K, "station count", 1)
     ndim = d.domain.ndim
     if cfg.init == "explicit":
         pos = _positions(cfg.positions, ndim)

@@ -130,12 +130,11 @@ class PowerReport:
     """Breakdown of the network transmission power for one configuration.
 
     `intra_per_cell` holds the access power of each station's cell, one
-    entry per station; `inter_per_pair` the backhaul power of each
-    ordered station pair; `traffic` the station sums it was priced from.
+    entry per station; `inter_total` the backhaul power of all ordered
+    station pairs; `traffic` the station sums it was priced from.
     """
 
     intra_per_cell: np.ndarray
-    inter_per_pair: np.ndarray
     intra_total: float
     inter_total: float
     total: float
@@ -173,24 +172,19 @@ def _price(pos: np.ndarray, tv: TrafficVector, params: RadioParams) -> PowerRepo
     traffic, m = tv.per_station, tv.total
     if not m > 0:
         raise ValueError("total traffic must be positive")
+    loaded = pos[traffic > 0]
+    if len(set(map(tuple, loaded.tolist()))) < len(loaded):
+        raise SingularGainError("coincident stations with traffic on both ends")
 
-    K = len(traffic)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist2 = np.sum(diff * diff, axis=-1)
-    coincident = (dist2 == 0.0) & ~np.eye(K, dtype=bool)
-    both_loaded = np.outer(traffic > 0, traffic > 0)
-    if np.any(coincident & both_loaded):
-        raise SingularGainError(
-            "coincident stations with traffic on both ends"
-        )
     with np.errstate(over="ignore", invalid="ignore"):
         access = tv.second - 2.0 * np.sum(pos * tv.first, axis=1) + np.sum(pos * pos, axis=1) * tv.mass
         intra = params.noise_power * params.shannon_factor * np.maximum(access, 0.0)
-        inter = params.noise_power / m * np.outer(traffic, traffic) * dist2
-        np.fill_diagonal(inter, 0.0)
         intra_total = float(intra.sum())
-        inter_total = float(inter.sum())
+        # sum_ij t_i t_j |p_i - p_j|^2 = 2 m sum_i t_i |p_i - c|^2, c the traffic barycenter;
+        # noise power last, since 2 * noise_power overflows at the top of the float range
+        off = pos - traffic @ pos / m
+        inter_total = float(params.noise_power * (2.0 * (traffic @ np.sum(off * off, axis=1))))
     total = intra_total + inter_total
     if not math.isfinite(total):
         raise ValueError("total power overflows; the power scale is too large")
-    return PowerReport(intra, inter, intra_total, inter_total, total, tv)
+    return PowerReport(intra, intra_total, inter_total, total, tv)

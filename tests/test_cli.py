@@ -201,10 +201,17 @@ class TestDiscreteMode:
         assert [(index(r[0]), index(r[1])) for r in pairs] == [
             (i, j) for i in range(K) for j in range(K) if i != j
         ]
+        t, m = sol.report.traffic.per_station, sol.report.traffic.total
+        power = {}
         for r in pairs:
             i, j = int(r[0]), int(r[1])
-            assert float(r[2]) == np.sqrt(np.sum((pos[i] - pos[j]) ** 2))
-            assert float(r[3]) == sol.report.inter_per_pair[i, j]
+            d2 = np.sum((pos[i] - pos[j]) ** 2)
+            assert float(r[2]) == np.sqrt(d2)
+            # sigma2 * m_i * m_j * d_ij^2 / m, with sigma2 = 1
+            power[i, j] = float(r[3])
+            assert power[i, j] == 1.0 / m * (t[i] * t[j]) * d2
+        assert all(power[i, j] == power[j, i] for i, j in power)
+        assert sum(power.values()) == pytest.approx(sol.report.inter_total, rel=1e-12)
 
         trace = rows("trace.csv")
         assert [index(r[0]) for r in trace] == list(range(len(sol.trace)))

@@ -480,7 +480,10 @@ class TestIterate:
         closed = optimal_station_density(f, 1.0)
         assert abs(result.measure.spread() - closed.spread()) <= 1e-12 * closed.spread()
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize(
+        "tolerance",
+        [0.0, -1.0, math.nan, None, pytest.param([1e-8], id="list"), pytest.param(10**400, id="10**400"), "1e-8", True],
+    )
     def test_tolerance_must_be_positive(self, tolerance):
         f = standard_normal_field()
         with pytest.raises(ValueError, match="tolerance"):

@@ -64,9 +64,16 @@ def instances(draw):
 def test_total_power_matches_naive_loops(instance):
     d, params, pos, _ = instance
     partition = voronoi_partition(pos, d)
-    fast = total_power(pos, partition, d, params).total
+    report = total_power(pos, partition, d, params)
     slow = naive_total_power(pos, partition.assignment.ravel(), d, params)
-    assert fast == pytest.approx(slow, rel=1e-9)
+    assert report.total == pytest.approx(slow, rel=1e-9)
+    # the backhaul alone, priced pair by pair
+    t, m = report.traffic.per_station, report.traffic.total
+    pairs = sum(
+        params.noise_power * t[i] * t[j] * float(np.sum((pos[i] - pos[j]) ** 2)) / m
+        for i in range(len(pos)) for j in range(len(pos)) if i != j
+    )
+    assert report.inter_total == pytest.approx(pairs, rel=1e-12)
 
 
 @SETTINGS
